@@ -66,10 +66,6 @@ class ConvCode:
         if self.g1.is_zero():
             raise InvalidDimension("g1 = 0 would make the memory zero")
 
-    @property
-    def memory(self) -> int:
-        return 1
-
 
 def _column_value(col_bits: int, k: int) -> int:
     """Integer value of a column with row 0 as the most significant bit."""

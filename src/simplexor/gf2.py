@@ -121,11 +121,6 @@ class BitMatrix:
         return cls(len(rows), cols, tuple(bits))
 
     @classmethod
-    def from_row_bits(cls, row_bits: Iterable[int], cols: int) -> BitMatrix:
-        bits = tuple(row_bits)
-        return cls(len(bits), cols, bits)
-
-    @classmethod
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
@@ -258,6 +253,32 @@ def is_right_invertible(m: BitMatrix) -> bool:
     return rank(m) == m.rows
 
 
+def reduce_rows(rows: list[int], width: int) -> list[int]:
+    """Gauss-Jordan elimination of int-packed rows, in place, over columns
+    0..width-1; bits at width and above ride along unreduced.
+
+    Returns the pivot columns in ascending order: afterwards row i has its
+    leading bit at pivots[i], every other row is zero in that column, and
+    the rows past the last pivot are zero below width.
+    """
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        bit = 1 << c
+        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] & bit:
+                rows[i] ^= p
+        pivots.append(c)
+    return pivots
+
+
 def solve_right(m: BitMatrix, target: BitVector) -> BitVector | None:
     """Solve u @ m = target for u; None when no solution exists.
 
@@ -271,27 +292,11 @@ def solve_right(m: BitMatrix, target: BitVector) -> BitVector | None:
     # Row j of the transposed system is column j of m, augmented with the
     # target bit at position k.
     aug = [m.column_bits(j) | (target.bit(j) << k) for j in range(m.cols)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, len(aug)):
-            if (aug[i] >> c) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(len(aug)):
-            if i != r and (aug[i] >> c) & 1:
-                aug[i] ^= aug[r]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i]:
-            return None
+    pivots = reduce_rows(aug, k)
+    if any(aug[len(pivots):]):
+        return None
     x = 0
-    for i, c in enumerate(pivot_cols):
+    for i, c in enumerate(pivots):
         if (aug[i] >> k) & 1:
             x |= 1 << c
     return BitVector(k, x)
@@ -324,22 +329,7 @@ def nullspace(m: BitMatrix) -> BitMatrix:
     """Basis of the right kernel {x : m @ x^T = 0}, one vector per row."""
     n = m.cols
     work = list(m.row_bits)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivot_cols.append(c)
-        r += 1
+    pivot_cols = reduce_rows(work, n)
     pivset = set(pivot_cols)
     basis = []
     for c in range(n):

@@ -11,7 +11,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, repeat
 from math import comb
 
 from .codes import (
@@ -29,11 +30,13 @@ from .codes import (
 )
 from .gf2 import TooLarge, min_weight_nonzero_rowspan
 from .repair import (
-    _parallel_table,
     code_columns,
     easy_closure_for_mask,
     easy_steps,
+    full_rank_on_live,
+    mask_indices,
     max_disjoint_groups,
+    parallel_table,
 )
 
 MAX_MESSAGE_DIM = 24
@@ -162,160 +165,95 @@ def _merge_counts(parts):
     return examined, correctable, repaired, counterexample
 
 
-def _full_rank_mask(cols, mask, k) -> bool:
-    pivots: dict[int, int] = {}
-    count = 0
-    for j, v in enumerate(cols):
-        if (mask >> j) & 1:
-            continue
-        while v:
-            h = v.bit_length()
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = v
-                count += 1
-                break
-            v ^= p
-        if count == k:
-            return True
-    return k == 0
+# Pattern sources: each yields (erasure bitmask, ascending erased indices)
+# for one chunk.  Sources that draw whole masks leave the indices None:
+# their patterns go only to the easy-repair check, which needs the mask.
 
 
-def _erp_check_mask(cols, k, mask, n):
-    """-> (correctable?, repaired?) for one erasure bitmask."""
-    if not _full_rank_mask(cols, mask, k):
-        return False, False
-    return True, easy_closure_for_mask(cols, mask)
+def _all_masks(n, lo, hi):
+    return zip(range(lo, hi), repeat(None))
 
 
-def _erased_tuple(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(n) if (mask >> j) & 1)
-
-
-def _chunk_erp_masks(cols, k, lo, hi):
-    n = len(cols)
-    examined = correctable = repaired = 0
-    counterexample = None
-    for mask in range(lo, hi):
-        examined += 1
-        co, ok = _erp_check_mask(cols, k, mask, n)
-        if co:
-            correctable += 1
-            if ok:
-                repaired += 1
-            elif counterexample is None:
-                counterexample = _erased_tuple(mask, n)
-    return examined, correctable, repaired, counterexample
-
-
-def _chunk_erp_combos(cols, k, e, lo, hi):
-    n = len(cols)
-    examined = correctable = repaired = 0
-    counterexample = None
+def _subsets_by_first(n, e, lo, hi):
+    """The e-subsets whose least index lies in [lo, hi), in lex order."""
     if e == 0:
-        return (1, 1, 1, None) if lo == 0 else (0, 0, 0, None)
+        if lo == 0:
+            yield 0, ()
+        return
+    bits = [1 << j for j in range(n)]
     for first in range(lo, hi):
         for rest in combinations(range(first + 1, n), e - 1):
-            mask = 1 << first
+            mask = bits[first]
             for j in rest:
-                mask |= 1 << j
-            examined += 1
-            co, ok = _erp_check_mask(cols, k, mask, n)
-            if co:
-                correctable += 1
-                if ok:
-                    repaired += 1
-                elif counterexample is None:
-                    counterexample = (first,) + rest
-    return examined, correctable, repaired, counterexample
+                mask |= bits[j]
+            yield mask, (first,) + rest
 
 
-def _chunk_erp_sampled(cols, k, seed, lo, hi):
-    n = len(cols)
-    examined = correctable = repaired = 0
-    counterexample = None
+def _sampled_masks(n, seed, lo, hi):
+    for i in range(lo, hi):
+        yield random.Random(trial_seed(seed, i)).getrandbits(n), None
+
+
+def _sampled_subsets(n, e, seed, lo, hi):
+    for i in range(lo, hi):
+        erased = tuple(sorted(random.Random(trial_seed(seed, i)).sample(range(n), e)))
+        yield sum(1 << j for j in erased), erased
+
+
+def _bernoulli_subsets(n, prob, seed, lo, hi):
     for i in range(lo, hi):
         rng = random.Random(trial_seed(seed, i))
-        mask = rng.getrandbits(n)
-        examined += 1
-        co, ok = _erp_check_mask(cols, k, mask, n)
-        if co:
-            correctable += 1
-            if ok:
-                repaired += 1
-            elif counterexample is None:
-                counterexample = _erased_tuple(mask, n)
-    return examined, correctable, repaired, counterexample
+        erased = tuple(j for j in range(n) if rng.random() < prob)
+        yield sum(1 << j for j in erased), erased
 
 
-def _parallel_mask_tables(cols, r):
-    tables = _parallel_table(cols, r)
-    return [([m for m, _ in packing], [m for m, _ in full]) for packing, full in tables]
+_SOURCES = {
+    "masks": _all_masks,
+    "subsets": _subsets_by_first,
+    "sampled_masks": _sampled_masks,
+    "sampled_subsets": _sampled_subsets,
+    "bernoulli": _bernoulli_subsets,
+}
 
 
-def _parallel_ok(tabs, erased, emask) -> bool:
+def _parallel_ok(tables, erased_mask, erased) -> bool:
+    """Every erased node has an all-live group in its parallel table."""
     for t in erased:
-        packing, full = tabs[t]
-        for m in packing:
-            if not m & emask:
+        for m in tables[t]:
+            if not m & erased_mask:
                 break
         else:
-            for m in full:
-                if not m & emask:
-                    break
-            else:
-                return False
+            return False
     return True
 
 
-def _chunk_par_combos(cols, r, e, lo, hi):
-    n = len(cols)
-    tabs = _parallel_mask_tables(cols, r)
-    examined = repaired = 0
-    counterexample = None
-    if e == 0:
-        return (1, 1, 1, None) if lo == 0 else (0, 0, 0, None)
-    for first in range(lo, hi):
-        for rest in combinations(range(first + 1, n), e - 1):
-            erased = (first,) + rest
-            emask = 0
-            for j in erased:
-                emask |= 1 << j
-            examined += 1
-            if _parallel_ok(tabs, erased, emask):
-                repaired += 1
-            elif counterexample is None:
-                counterexample = erased
-    return examined, examined, repaired, counterexample
+def _easy_verdict(cols, k, mask, erased):
+    """None for an uncorrectable pattern, else whether easy repair recovers it."""
+    if not full_rank_on_live(cols, mask, k):
+        return None
+    return easy_closure_for_mask(cols, mask)
 
 
-def _chunk_par_sampled(cols, r, e, seed, lo, hi):
-    n = len(cols)
-    tabs = _parallel_mask_tables(cols, r)
-    examined = repaired = 0
+def _sweep_chunk(cols, k, r, source, args):
+    """Tally one chunk of patterns: easy repair of every correctable pattern
+    when r is None, else parallel r-repair of every pattern."""
+    if r is None:
+        verdict = partial(_easy_verdict, cols, k)
+    else:
+        verdict = partial(_parallel_ok, parallel_table(cols, r))
+    examined = correctable = repaired = 0
     counterexample = None
-    for i in range(lo, hi):
-        rng = random.Random(trial_seed(seed, i))
-        erased = tuple(sorted(rng.sample(range(n), e)))
-        emask = 0
-        for j in erased:
-            emask |= 1 << j
+    for mask, erased in _SOURCES[source](len(cols), *args):
         examined += 1
-        if _parallel_ok(tabs, erased, emask):
+        ok = verdict(mask, erased)
+        if ok is None:
+            continue
+        correctable += 1
+        if ok:
             repaired += 1
         elif counterexample is None:
-            counterexample = erased
-    return examined, examined, repaired, counterexample
-
-
-_CHUNK_RUNNERS = {
-    "erp_masks": _chunk_erp_masks,
-    "erp_combos": _chunk_erp_combos,
-    "erp_sampled": _chunk_erp_sampled,
-    "par_combos": _chunk_par_combos,
-    "par_sampled": _chunk_par_sampled,
-    "sim": None,  # installed below
-}
+            counterexample = mask_indices(mask)
+    return examined, correctable, repaired, counterexample
 
 
 def _run_chunk(spec):
@@ -350,7 +288,7 @@ def verify_easy_repair_property(
             if total > MAX_SWEEP_PATTERNS:
                 raise TooLarge(f"2^{n} patterns exceeds the sweep guard")
             for lo, hi in _ranges(total, workers * 4):
-                specs.append(("erp_masks", cols, k, lo, hi))
+                specs.append(("sweep", cols, k, None, "masks", (lo, hi)))
         else:
             cap = min(mode.max_erasures, n)
             total = sum(comb(n, e) for e in range(cap + 1))
@@ -358,7 +296,7 @@ def verify_easy_repair_property(
                 raise TooLarge(f"{total} patterns exceeds the sweep guard")
             for e in range(cap + 1):
                 for lo, hi in _ranges(n - e + 1, workers):
-                    specs.append(("erp_combos", cols, k, e, lo, hi))
+                    specs.append(("sweep", cols, k, None, "subsets", (e, lo, hi)))
         checked = (
             "easy-repair exhaustive"
             if mode.max_erasures is None
@@ -366,7 +304,7 @@ def verify_easy_repair_property(
         )
     else:
         for lo, hi in _ranges(mode.trials, workers * 4):
-            specs.append(("erp_sampled", cols, k, mode.seed, lo, hi))
+            specs.append(("sweep", cols, k, None, "sampled_masks", (mode.seed, lo, hi)))
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
     examined, correctable, repaired, ce = _merge_counts(_run_chunks(specs, workers))
     return VerifyReport(code.code_id, checked, ce is None, examined, correctable, repaired, ce)
@@ -386,11 +324,11 @@ def verify_parallel_capacity(
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
         for lo, hi in _ranges(n - e + 1 if e else 1, workers):
-            specs.append(("par_combos", cols, r, e, lo, hi))
+            specs.append(("sweep", cols, code.k, r, "subsets", (e, lo, hi)))
         checked = f"parallel r={r} e={e} exhaustive"
     else:
         for lo, hi in _ranges(mode.trials, workers * 4):
-            specs.append(("par_sampled", cols, r, e, mode.seed, lo, hi))
+            specs.append(("sweep", cols, code.k, r, "sampled_subsets", (e, mode.seed, lo, hi)))
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
     examined, _, repaired, ce = _merge_counts(_run_chunks(specs, workers))
     return VerifyReport(code.code_id, checked, ce is None, examined, examined, repaired, ce)
@@ -531,24 +469,16 @@ class SimulationReport:
     mean_xors_per_repaired_node: float
 
 
-def _chunk_sim(cols, k, model_kind, model_arg, r_values, seed, lo, hi):
-    n = len(cols)
-    tabs = {r: _parallel_mask_tables(cols, r) for r in r_values}
+def _sim_chunk(cols, k, r_values, source, args):
+    tables = {r: parallel_table(cols, r) for r in r_values}
     hist: dict[int, int] = {}
-    correctable = easy_ok = 0
+    trials = correctable = easy_ok = 0
     par_ok = {r: 0 for r in r_values}
     xor_total = nodes_total = 0
-    for i in range(lo, hi):
-        rng = random.Random(trial_seed(seed, i))
-        if model_kind == "fixed":
-            erased = tuple(sorted(rng.sample(range(n), model_arg)))
-        else:
-            erased = tuple(j for j in range(n) if rng.random() < model_arg)
-        emask = 0
-        for j in erased:
-            emask |= 1 << j
+    for emask, erased in _SOURCES[source](len(cols), *args):
+        trials += 1
         hist[len(erased)] = hist.get(len(erased), 0) + 1
-        if _full_rank_mask(cols, emask, k):
+        if full_rank_on_live(cols, emask, k):
             correctable += 1
             steps, remaining = easy_steps(cols, list(erased))
             if not remaining:
@@ -556,13 +486,13 @@ def _chunk_sim(cols, k, model_kind, model_arg, r_values, seed, lo, hi):
                 nodes_total += len(steps)
                 xor_total += sum(len(h) - 1 for _, h in steps)
         for r in r_values:
-            if _parallel_ok(tabs[r], erased, emask):
+            if _parallel_ok(tables[r], emask, erased):
                 par_ok[r] += 1
-    return (hi - lo, tuple(sorted(hist.items())), correctable, easy_ok,
+    return (trials, tuple(sorted(hist.items())), correctable, easy_ok,
             tuple(par_ok[r] for r in r_values), xor_total, nodes_total)
 
 
-_CHUNK_RUNNERS["sim"] = _chunk_sim
+_CHUNK_RUNNERS = {"sweep": _sweep_chunk, "sim": _sim_chunk}
 
 
 def monte_carlo_repair(
@@ -578,13 +508,13 @@ def monte_carlo_repair(
         raise ValueError("trials must be >= 1")
     cols = code_columns(code)
     if isinstance(model, FixedErasures):
-        kind, arg = "fixed", model.count
+        source, arg = "sampled_subsets", model.count
         if not 0 <= model.count <= code.n:
             raise ValueError("erasure count out of range")
     else:
-        kind, arg = "bernoulli", model.prob
+        source, arg = "bernoulli", model.prob
     specs = [
-        ("sim", cols, code.k, kind, arg, r_values, seed, lo, hi)
+        ("sim", cols, code.k, r_values, source, (arg, seed, lo, hi))
         for lo, hi in _ranges(trials, workers * 4)
     ]
     parts = _run_chunks(specs, workers)

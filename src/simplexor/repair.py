@@ -112,11 +112,12 @@ def code_columns(code: LinearCode) -> tuple[int, ...]:
     return _cached_columns(code.generator)
 
 
-def _full_rank_on_live(cols: Sequence[int], erased: frozenset[int], k: int) -> bool:
+def full_rank_on_live(cols: Sequence[int], erased_mask: int, k: int) -> bool:
+    """True iff the columns outside erased_mask span GF(2)^k."""
     pivots: dict[int, int] = {}
     count = 0
     for j, v in enumerate(cols):
-        if j in erased:
+        if (erased_mask >> j) & 1:
             continue
         while v:
             h = v.bit_length()
@@ -135,7 +136,7 @@ def is_correctable(code: LinearCode, pattern: ErasurePattern) -> bool:
     """True iff the live columns still span GF(2)^k."""
     if pattern.n != code.n:
         raise DimensionMismatch("pattern length does not match code length")
-    return _full_rank_on_live(code_columns(code), pattern.erased, code.k)
+    return full_rank_on_live(code_columns(code), _index_mask(pattern.erased), code.k)
 
 
 def is_correctable_via_parity(
@@ -170,20 +171,6 @@ def _scan_easy_helper(
                 continue
             m = partners[1]
         return (j, m) if j < m else (m, j)
-    return None
-
-
-def find_easy_repairable(code: LinearCode, pattern: ErasurePattern) -> RepairStep | None:
-    """First erased node (ascending index) repairable from <= 2 live nodes."""
-    cols = code_columns(code)
-    live = sorted(pattern.live)
-    by_val: dict[int, list[int]] = {}
-    for j in live:
-        by_val.setdefault(cols[j], []).append(j)
-    for target in pattern.erased_sorted():
-        helpers = _scan_easy_helper(cols, target, live, by_val)
-        if helpers is not None:
-            return RepairStep(target, helpers, 0)
     return None
 
 
@@ -280,41 +267,20 @@ def easy_closure_for_mask(cols: Sequence[int], erased_mask: int) -> bool:
     return not pending
 
 
-def easy_closure_ok(cols: Sequence[int], erased: Iterable[int]) -> bool:
-    mask = 0
-    for j in erased:
-        mask |= 1 << j
-    return easy_closure_for_mask(cols, mask)
-
-
 # ---------------------------------------------------------------------------
 # Repair group enumeration (meet in the middle over column values)
 
 
-@lru_cache(maxsize=64)
-def _singles_map(cols: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    out: dict[int, list[int]] = {}
-    for j, c in enumerate(cols):
-        out.setdefault(c, []).append(j)
-    return {v: tuple(lst) for v, lst in out.items()}
-
-
-@lru_cache(maxsize=16)
-def _pairs_map(cols: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    n = len(cols)
-    for a in range(n):
-        ca = cols[a]
-        for b in range(a + 1, n):
-            out.setdefault(ca ^ cols[b], []).append((a, b))
-    return {v: tuple(lst) for v, lst in out.items()}
-
-
-@lru_cache(maxsize=4)
-def _triples_map(cols: tuple[int, ...]) -> dict[int, tuple[tuple[int, int, int], ...]]:
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for a, b, c in combinations(range(len(cols)), 3):
-        out.setdefault(cols[a] ^ cols[b] ^ cols[c], []).append((a, b, c))
+@lru_cache(maxsize=12)
+def _subset_xor_map(cols: tuple[int, ...], size: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every size-subset of node indices, as an ascending tuple, keyed by
+    the XOR of its columns; each list is in lex order."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for idx in combinations(range(len(cols)), size):
+        v = 0
+        for i in idx:
+            v ^= cols[i]
+        out.setdefault(v, []).append(idx)
     return {v: tuple(lst) for v, lst in out.items()}
 
 
@@ -336,67 +302,25 @@ def _is_minimal(vals: Sequence[int]) -> bool:
 def _minimal_groups(
     cols: tuple[int, ...], target: int, max_size: int
 ) -> tuple[tuple[int, ...], ...]:
-    """All minimal repair groups for target, sorted by (size, indices)."""
-    n = len(cols)
+    """All minimal repair groups for target, sorted by (size, indices).
+
+    Meet in the middle: a group of s helpers, as an ascending tuple, is
+    its first s//2 indices (enumerated) followed by a tail of the
+    remaining indices, looked up by the XOR it must supply.
+    """
     tcol = cols[target]
-    singles = _singles_map(cols)
+    others = [j for j in range(len(cols)) if j != target]
     found: list[tuple[int, ...]] = []
-
-    def ok(idx: Iterable[int]) -> bool:
-        return target not in idx
-
-    for j in singles.get(tcol, ()):
-        if j != target:
-            found.append((j,))
-    if max_size >= 2:
-        for j in range(n):
-            if j == target:
-                continue
-            for m in singles.get(tcol ^ cols[j], ()):
-                if m > j and m != target:
-                    found.append((j, m))
-    if max_size >= 3:
-        for a in range(n):
-            if a == target:
-                continue
-            va = tcol ^ cols[a]
-            for b in range(a + 1, n):
-                if b == target:
-                    continue
-                for m in singles.get(va ^ cols[b], ()):
-                    if m > b and m != target:
-                        found.append((a, b, m))
-    if max_size >= 4:
-        pairs = _pairs_map(cols)
-        for a in range(n):
-            if a == target:
-                continue
-            va = tcol ^ cols[a]
-            for b in range(a + 1, n):
-                if b == target:
-                    continue
-                for cd in pairs.get(va ^ cols[b], ()):
-                    if cd[0] > b and ok(cd):
-                        found.append((a, b) + cd)
-    if max_size >= 5:
-        triples = _triples_map(cols)
-        for a in range(n):
-            if a == target:
-                continue
-            va = tcol ^ cols[a]
-            for b in range(a + 1, n):
-                if b == target:
-                    continue
-                for cde in triples.get(va ^ cols[b], ()):
-                    if cde[0] > b and ok(cde):
-                        found.append((a, b) + cde)
-    if max_size >= 6:
-        triples = _triples_map(cols)
-        for abc in combinations((j for j in range(n) if j != target), 3):
-            v = tcol ^ cols[abc[0]] ^ cols[abc[1]] ^ cols[abc[2]]
-            for cde in triples.get(v, ()):
-                if cde[0] > abc[2] and ok(cde):
-                    found.append(abc + cde)
+    for size in range(1, max_size + 1):
+        tails = _subset_xor_map(cols, size - size // 2)
+        for head in combinations(others, size // 2):
+            v = tcol
+            for i in head:
+                v ^= cols[i]
+            last = head[-1] if head else -1
+            for tail in tails.get(v, ()):
+                if tail[0] > last and target not in tail:
+                    found.append(head + tail)
     minimal = [g for g in found if _is_minimal([cols[i] for i in g])]
     minimal.sort(key=lambda g: (len(g), g))
     return tuple(minimal)
@@ -404,8 +328,7 @@ def _minimal_groups(
 
 def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:
     """All minimal repair groups with at most max_size helpers."""
-    if not 1 <= max_size <= MAX_GROUP_SIZE:
-        raise InvalidBound(f"max_size {max_size} outside 1..{MAX_GROUP_SIZE}")
+    _checked_size(max_size)
     if not 0 <= target < code.n:
         raise DimensionMismatch("target index out of range")
     groups = _minimal_groups(code_columns(code), target, max_size)
@@ -689,6 +612,16 @@ def _index_mask(indices: Iterable[int]) -> int:
     return m
 
 
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def max_disjoint_groups(
     code: LinearCode, target: int, max_size: int
 ) -> tuple[int, list[RepairGroup]]:
@@ -756,26 +689,27 @@ def locality(code: LinearCode) -> int:
 
 
 @lru_cache(maxsize=64)
-def _parallel_table(
-    cols: tuple[int, ...], r: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]:
-    """Per target: (greedy disjoint packing, full group list) as (mask, pos) pairs.
+def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Per target: its minimal groups of size <= r as helper bitmasks, in
+    the order a parallel repair tries them.
 
-    ``pos`` indexes into the sorted minimal-group list so helper tuples can
-    be recovered; the greedy packing is scanned first because at most one
-    erasure can hit each of its pairwise-disjoint groups.
+    A greedy disjoint packing comes first, because at most one erasure can
+    hit each of its pairwise-disjoint groups; the other groups follow in
+    (size, indices) order.
     """
     out = []
     for target in range(len(cols)):
-        groups = _minimal_groups(cols, target, r)
-        full = tuple((_index_mask(g), i) for i, g in enumerate(groups))
-        packing = []
+        packing: list[int] = []
+        rest: list[int] = []
         used = 0
-        for mask, i in full:
-            if not mask & used:
-                packing.append((mask, i))
+        for g in _minimal_groups(cols, target, r):
+            mask = _index_mask(g)
+            if mask & used:
+                rest.append(mask)
+            else:
+                packing.append(mask)
                 used |= mask
-        out.append((tuple(packing), full))
+        out.append(tuple(packing + rest))
     return tuple(out)
 
 
@@ -783,13 +717,9 @@ def parallel_group_for(
     cols: tuple[int, ...], target: int, erased_mask: int, r: int
 ) -> tuple[int, ...] | None:
     """First all-live minimal group of size <= r for target, if any."""
-    packing, full = _parallel_table(cols, r)[target]
-    for mask, i in packing:
+    for mask in parallel_table(cols, r)[target]:
         if not mask & erased_mask:
-            return _minimal_groups(cols, target, r)[i]
-    for mask, i in full:
-        if not mask & erased_mask:
-            return _minimal_groups(cols, target, r)[i]
+            return mask_indices(mask)
     return None
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .codes import ConvCode, LinearCode, parse_code_id, um_block_code
-from .gf2 import BitMatrix
+from .codes import LinearCode, parse_code_id
+from .gf2 import BitMatrix, reduce_rows
 from .repair import (
     ErasurePattern,
     RepairFailure,
@@ -43,10 +43,6 @@ class NotCorrectable(StorageError):
 
 
 class ChecksumMismatch(StorageError):
-    pass
-
-
-class LengthMismatch(StorageError):
     pass
 
 
@@ -82,32 +78,49 @@ def _crc(data: bytes) -> str:
     return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
 
 
+_MANIFEST_TYPES = {
+    "format_version": int,
+    "code": str,
+    "n": int,
+    "k": int,
+    "s": int,
+    "payload_length": int,
+    "fragment_length": int,
+    "checksums": list,
+}
+
+
 def manifest_to_json(m: ShardManifest) -> str:
-    doc = {
-        "format_version": m.format_version,
-        "code": m.code,
-        "n": m.n,
-        "k": m.k,
-        "s": m.s,
-        "payload_length": m.payload_length,
-        "fragment_length": m.fragment_length,
-        "checksums": list(m.checksums),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(m), indent=2) + "\n"
 
 
 def manifest_from_json(text: str) -> ShardManifest:
-    doc = json.loads(text)
-    return ShardManifest(
-        format_version=doc["format_version"],
-        code=doc["code"],
-        n=doc["n"],
-        k=doc["k"],
-        s=doc["s"],
-        payload_length=doc["payload_length"],
-        fragment_length=doc["fragment_length"],
-        checksums=tuple(doc["checksums"]),
-    )
+    """Parse and validate a manifest; any defect raises StorageError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise StorageError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StorageError("manifest is not a JSON object")
+    for key, kind in _MANIFEST_TYPES.items():
+        if key not in doc:
+            raise StorageError(f"manifest lacks {key!r}")
+        value = doc[key]
+        if type(value) is not kind and not (key == "s" and value is None):
+            raise StorageError(f"manifest {key!r} must be of type {kind.__name__}")
+    checksums = doc["checksums"]
+    if not all(type(c) is str for c in checksums):
+        raise StorageError("manifest checksums must be strings")
+    fields = {key: doc[key] for key in _MANIFEST_TYPES}
+    fields["checksums"] = tuple(checksums)
+    m = ShardManifest(**fields)
+    if m.format_version != FORMAT_VERSION:
+        raise StorageError(f"unsupported manifest format_version {m.format_version}")
+    if len(m.checksums) != m.n:
+        raise StorageError(f"manifest has {len(m.checksums)} checksums for n={m.n}")
+    if not 0 < m.payload_length <= m.fragment_count() * m.fragment_length:
+        raise StorageError(f"manifest payload_length {m.payload_length} does not fit its fragments")
+    return m
 
 
 def _split_fragments(payload: bytes, count: int) -> tuple[list[int], int]:
@@ -155,15 +168,6 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
     return _encode(code.generator, code.code_id, code.k, None, payload)
 
 
-def encode_stream(c: ConvCode, payload: bytes, s: int) -> tuple[ShardManifest, list[Shard]]:
-    """Encode (s+1) message blocks through the unrolled sliding generator.
-
-    The final half block of columns is identically zero; its all-zero
-    shards are kept so node indices track the sliding matrix exactly.
-    """
-    return encode_object(um_block_code(c.k, s), payload)
-
-
 def _resolve_code(manifest: ShardManifest) -> LinearCode:
     code = parse_code_id(manifest.code)
     if code.n != manifest.n:
@@ -173,15 +177,20 @@ def _resolve_code(manifest: ShardManifest) -> LinearCode:
     return code
 
 
-def _check_shard(manifest: ShardManifest, shard: Shard) -> None:
-    if not 0 <= shard.index < manifest.n:
-        raise StorageError(f"shard index {shard.index} out of range")
-    if len(shard.data) != manifest.fragment_length:
-        raise LengthMismatch(
-            f"shard {shard.index}: {len(shard.data)} bytes, expected {manifest.fragment_length}"
-        )
-    if _crc(shard.data) != manifest.checksums[shard.index]:
-        raise ChecksumMismatch(f"shard {shard.index} fails its checksum")
+def _sound_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[int, bytes]:
+    """Shard data by index, leaving out every shard that fails its length
+    or checksum test: a corrupt shard counts as erased."""
+    seen: set[int] = set()
+    pool: dict[int, bytes] = {}
+    for sh in available:
+        if not 0 <= sh.index < manifest.n:
+            raise StorageError(f"shard index {sh.index} out of range")
+        if sh.index in seen:
+            raise StorageError(f"duplicate shard index {sh.index}")
+        seen.add(sh.index)
+        if len(sh.data) == manifest.fragment_length and _crc(sh.data) == manifest.checksums[sh.index]:
+            pool[sh.index] = sh.data
+    return pool
 
 
 def _decode_recipe(live_sub: BitMatrix) -> list[list[int]] | None:
@@ -193,25 +202,8 @@ def _decode_recipe(live_sub: BitMatrix) -> list[list[int]] | None:
     """
     k, width = live_sub.rows, live_sub.cols
     aug = [live_sub.row_bits[i] | (1 << (width + i)) for i in range(k)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, k):
-            if (aug[i] >> c) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(k):
-            if i != r and (aug[i] >> c) & 1:
-                aug[i] ^= aug[r]
-        pivots.append(c)
-        r += 1
-        if r == k:
-            break
-    if r < k:
+    pivots = reduce_rows(aug, width)
+    if len(pivots) < k:
         return None
     recipe: list[list[int]] = [[] for _ in range(k)]
     for t in range(k):
@@ -223,13 +215,11 @@ def _decode_recipe(live_sub: BitMatrix) -> list[list[int]] | None:
 
 
 def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
-    """Recover the exact payload from any correctable shard subset."""
-    shards: dict[int, Shard] = {}
-    for sh in available:
-        if sh.index in shards:
-            raise StorageError(f"duplicate shard index {sh.index}")
-        _check_shard(manifest, sh)
-        shards[sh.index] = sh
+    """Recover the exact payload from any correctable shard subset.
+
+    Shards that fail their length or checksum test are treated as erased.
+    """
+    shards = _sound_shards(manifest, available)
     code = _resolve_code(manifest)
     live = sorted(shards)
     live_sub = code.generator.select_columns(live)
@@ -241,7 +231,7 @@ def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
     for positions in recipe:
         acc = 0
         for p in positions:
-            acc ^= int.from_bytes(shards[live[p]].data, "little")
+            acc ^= int.from_bytes(shards[live[p]], "little")
         out += acc.to_bytes(frag_len, "little")
     return bytes(out[: manifest.payload_length])
 
@@ -251,22 +241,18 @@ def repair_shards(
 ) -> RepairResult:
     """Regenerate erased shards, preferring XOR repair steps over a decode.
 
-    Every index without a supplied shard counts as erased, as does every
-    index listed in ``missing`` (a stale shard file can be forced erased
-    that way).  Falls back to decode-and-re-encode when the greedy XOR
-    repair stalls on a correctable pattern.
+    Every index without a sound supplied shard counts as erased and is
+    regenerated: absent shards, shards failing their length or checksum
+    test, and every index listed in ``missing`` (a stale shard file can be
+    forced erased that way).  Falls back to decode-and-re-encode when the
+    greedy XOR repair stalls on a correctable pattern.
     """
     missing = set(missing)
-    pool: dict[int, bytes] = {}
-    for sh in available:
-        if sh.index in missing:
-            continue
-        _check_shard(manifest, sh)
-        pool[sh.index] = sh.data
+    pool = _sound_shards(manifest, (sh for sh in available if sh.index not in missing))
     code = _resolve_code(manifest)
     erased = frozenset(set(range(manifest.n)) - set(pool))
     if not missing <= erased:
-        raise StorageError("missing indices must be absent from the available set")
+        raise StorageError("missing index out of range")
     pattern = ErasurePattern(manifest.n, erased)
     if not is_correctable(code, pattern):
         raise NotCorrectable("erasure pattern is beyond the code's capability")
@@ -302,7 +288,10 @@ def shard_filename(index: int) -> str:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 

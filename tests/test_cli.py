@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from simplexor.cli import main
@@ -86,6 +88,52 @@ def test_decode_uncorrectable_exits_one(tmp_path, capsys):
                          "--out", str(tmp_path / "r.bin"), "--erased", "2,3,4,5,6")
     assert status == 1
     assert "not correctable" in err
+
+
+def test_corrupt_shard_is_decoded_around_and_rewritten(tmp_path, capsys):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(bytes(range(100)))
+    shard_dir = tmp_path / "s"
+    run(capsys, "encode", "--code", "simplex:3", "--in", str(payload), "--dir", str(shard_dir))
+    shard2 = shard_dir / "shard_0002.bin"
+    good = shard2.read_bytes()
+    shard2.write_bytes(bytes([good[0] ^ 1]) + good[1:])
+    out_file = tmp_path / "r.bin"
+    status, *_ = run(capsys, "decode", "--dir", str(shard_dir), "--out", str(out_file))
+    assert status == 0
+    assert out_file.read_bytes() == payload.read_bytes()
+    status, out, _ = run(capsys, "repair", "--dir", str(shard_dir), "--missing", "0")
+    assert status == 0
+    assert out.splitlines()[0] == "# mode: sequential"
+    assert shard2.read_bytes() == good
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda doc: {key: v for key, v in doc.items() if key != "fragment_length"},
+        lambda doc: {**doc, "checksums": doc["checksums"][:3]},
+        lambda doc: {**doc, "format_version": 99},
+        lambda doc: {**doc, "payload_length": 10**6},
+        None,
+    ],
+    ids=["missing-key", "three-checksums", "format-version-99", "oversized-payload", "not-json"],
+)
+def test_decode_rejects_tampered_manifest(tmp_path, capsys, tamper):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(bytes(1000))
+    shard_dir = tmp_path / "s"
+    run(capsys, "encode", "--code", "simplex:3", "--in", str(payload), "--dir", str(shard_dir))
+    manifest = shard_dir / "manifest.json"
+    if tamper is None:
+        manifest.write_text("not json {")
+    else:
+        manifest.write_text(json.dumps(tamper(json.loads(manifest.read_text()))))
+    status, _, err = run(capsys, "decode", "--dir", str(shard_dir),
+                         "--out", str(tmp_path / "r.bin"))
+    assert status == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "r.bin").exists()
 
 
 def test_repair_code_mismatch_is_usage_error(tmp_path, capsys):

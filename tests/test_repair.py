@@ -21,10 +21,9 @@ from simplexor.repair import (
     RepairPlan,
     availability_profile,
     code_columns,
-    easy_closure_ok,
+    easy_closure_for_mask,
     easy_repair_plan,
     enumerate_repair_groups,
-    find_easy_repairable,
     format_plan,
     is_correctable,
     is_correctable_via_parity,
@@ -32,6 +31,7 @@ from simplexor.repair import (
     max_disjoint_groups,
     parallel_repair_plan,
     _index_mask,
+    _is_minimal,
     _max_packing,
     _projection_bound,
 )
@@ -96,23 +96,26 @@ def test_correctability_criteria_agree_exhaustively(code):
         assert via_g == (not ambiguous)
 
 
+# The first step of an easy-repair plan repairs the lowest erased node that
+# is repairable from at most two live nodes.
+
+
 def test_find_easy_repairable_on_hard_pattern():
     code = simplex_code(3)
-    step = find_easy_repairable(code, _pattern(code, HARD_CORRECTABLE))
-    assert step is not None
-    assert (step.target, step.helpers) == (0, (2, 4))
+    plan = easy_repair_plan(code, _pattern(code, HARD_CORRECTABLE))
+    first = plan.steps[0]
+    assert (first.target, first.helpers, first.order) == (0, (2, 4), 0)
 
 
 def test_find_easy_repairable_nothing_erased():
     code = simplex_code(3)
-    assert find_easy_repairable(code, _pattern(code, [])) is None
+    assert easy_repair_plan(code, _pattern(code, [])).steps == ()
 
 
 def test_find_easy_repairable_prefers_replication():
     code = c2_code(3)
-    step = find_easy_repairable(code, _pattern(code, [0]))
-    assert step is not None
-    assert (step.target, step.helpers) == (0, (1,))
+    plan = easy_repair_plan(code, _pattern(code, [0]))
+    assert (plan.steps[0].target, plan.steps[0].helpers) == (0, (1,))
 
 
 def test_easy_repair_plan_on_hard_pattern():
@@ -177,13 +180,15 @@ def test_easy_repair_failure_flags_theorem_violation_only_for_easy_families():
     assert outcome.theorem_violation
 
 
-@given(st.integers(0, (1 << 9) - 1))
-def test_easy_closure_verdict_matches_plan(mask):
-    code = c2_code(4)
-    erased = [j for j in range(code.n) if (mask >> j) & 1]
-    pattern = _pattern(code, erased)
+CLOSURE_CODES = [c2_code(4), simplex_code(4), um_block_code(2, 1), _custom_code(NO_EASY_ROWS)]
+
+
+@given(st.sampled_from(CLOSURE_CODES), st.integers(0, (1 << 18) - 1))
+def test_easy_closure_verdict_matches_plan(code, bits):
+    mask = bits & ((1 << code.n) - 1)
+    pattern = _pattern(code, [j for j in range(code.n) if (mask >> j) & 1])
     plan = easy_repair_plan(code, pattern)
-    assert easy_closure_ok(code_columns(code), erased) == isinstance(plan, RepairPlan)
+    assert easy_closure_for_mask(code_columns(code), mask) == isinstance(plan, RepairPlan)
 
 
 def test_parallel_plan_within_capability():
@@ -244,6 +249,27 @@ def test_enumerated_groups_xor_to_target_and_are_minimal(code):
                     for h in sub:
                         sub_acc ^= cols[h]
                     assert sub_acc != cols[target]
+
+
+@pytest.mark.parametrize(
+    "code, cap",
+    [(simplex_code(3), 6), (c2_code(4), 6), (um_block_code(2, 1), 4)],
+    ids=lambda v: getattr(v, "code_id", v),
+)
+def test_enumerated_groups_match_brute_force(code, cap):
+    cols = code_columns(code)
+    for target in range(code.n):
+        others = [j for j in range(code.n) if j != target]
+        expected = []
+        for size in range(1, cap + 1):
+            for group in itertools.combinations(others, size):
+                acc = 0
+                for h in group:
+                    acc ^= cols[h]
+                if acc == cols[target] and _is_minimal([cols[h] for h in group]):
+                    expected.append(group)
+        got = [tuple(sorted(g.helpers)) for g in enumerate_repair_groups(code, target, cap)]
+        assert got == expected
 
 
 def test_enumerate_groups_bound_validation():

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simplexor import storage
-from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_simplex
-from simplexor.gf2 import BitMatrix
-from simplexor.repair import RepairFailure, ErasurePattern
+from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code, um_simplex
+from simplexor.gf2 import BitMatrix, BitVector, solve_right
+from simplexor.repair import RepairFailure, ErasurePattern, is_correctable
 from simplexor.storage import (
-    ChecksumMismatch,
     EmptyPayload,
-    LengthMismatch,
     NotCorrectable,
     Shard,
+    StorageError,
+    _decode_recipe,
     decode_object,
     encode_object,
-    encode_stream,
     manifest_from_json,
     manifest_to_json,
     read_available_shards,
@@ -70,13 +69,22 @@ def test_decode_not_correctable():
 
 
 def test_decode_checksum_and_length_validation():
-    manifest, shards = encode_object(simplex_code(3), b"hello world")
+    """A shard failing its checksum or length test counts as erased."""
+    payload = b"hello world"
+    manifest, shards = encode_object(simplex_code(3), payload)
     bad = Shard(2, bytes([shards[2].data[0] ^ 1]) + shards[2].data[1:])
-    with pytest.raises(ChecksumMismatch):
-        decode_object(manifest, [shards[0], shards[1], bad] + list(shards[3:]))
     short = Shard(2, shards[2].data[:-1])
-    with pytest.raises(LengthMismatch):
-        decode_object(manifest, [shards[0], shards[1], short] + list(shards[3:]))
+    for corrupt in (bad, short):
+        supplied = [shards[0], shards[1], corrupt] + list(shards[3:])
+        assert decode_object(manifest, supplied) == payload
+        result = repair_shards(manifest, supplied[1:], {0})
+        assert {sh.index: sh.data for sh in result.shards} == {0: shards[0].data, 2: shards[2].data}
+        with pytest.raises(NotCorrectable):
+            decode_object(manifest, supplied[:3])
+    with pytest.raises(StorageError, match="out of range"):
+        decode_object(manifest, [Shard(7, shards[0].data)])
+    with pytest.raises(StorageError, match="duplicate"):
+        repair_shards(manifest, [shards[1], shards[1]], {0})
 
 
 def test_repair_hard_pattern_uses_only_easy_steps():
@@ -135,21 +143,20 @@ def test_repair_not_correctable():
         repair_shards(manifest, shards[:2], set(range(2, 7)))
 
 
-def test_encode_stream_horizon_zero_matches_tap_pair_block():
-    conv = um_simplex(2)
+def test_um_horizon_zero_matches_tap_pair_block():
     payload = b"streaming bits"
-    manifest, shards = encode_stream(conv, payload, 0)
+    manifest, shards = encode_object(um_block_code(2, 0), payload)
     assert manifest.code == "um:2:0"
     assert manifest.s == 0
     assert len(shards) == 12
     assert decode_object(manifest, shards) == payload
 
 
-def test_encode_stream_shard_count_and_convolution_identity():
+def test_um_shard_count_and_convolution_identity():
     conv = um_simplex(2)
     rng = random.Random(17)
     payload = bytes(rng.randrange(256) for _ in range(64))
-    manifest, shards = encode_stream(conv, payload, 1)
+    manifest, shards = encode_object(um_block_code(2, 1), payload)
     assert len(shards) == 18
     # the trailing half block of zero columns stores zero shards
     assert all(shards[j].data == bytes(manifest.fragment_length) for j in (15, 16, 17))
@@ -184,8 +191,6 @@ def test_encode_stream_shard_count_and_convolution_identity():
 def test_round_trip_over_random_correctable_subsets(code_id):
     code = parse_code_id(code_id)
     rng = random.Random(hash(code_id) & 0xFFFF)
-    from simplexor.repair import is_correctable
-
     for length in (1, max(code.k - 1, 1), code.k, 1000):
         payload = bytes(rng.randrange(256) for _ in range(length))
         manifest, shards = encode_object(code, payload)
@@ -196,6 +201,28 @@ def test_round_trip_over_random_correctable_subsets(code_id):
                 if is_correctable(code, pattern):
                     break
             assert decode_object(manifest, [shards[j] for j in live]) == payload
+
+
+@pytest.mark.parametrize("code_id", ["simplex:4", "um:2:2"])
+def test_decode_recipe_matches_solve_right(code_id):
+    """Fragment i of the recipe is the unique solution of live_sub @ x = e_i
+    supported on the leftmost independent live columns, which solve_right
+    finds with its free variables set to zero."""
+    code = parse_code_id(code_id)
+    rng = random.Random(31)
+    for _ in range(20):
+        while True:
+            live = [j for j in range(code.n) if rng.random() < 0.5]
+            pattern = ErasurePattern(code.n, frozenset(set(range(code.n)) - set(live)))
+            if is_correctable(code, pattern):
+                break
+        live_sub = code.generator.select_columns(live)
+        recipe = _decode_recipe(live_sub)
+        transposed = live_sub.transpose()
+        for i, positions in enumerate(recipe):
+            x = solve_right(transposed, BitVector.unit(code.k, i))
+            assert positions == [p for p in range(len(live)) if x.bit(p)]
+        assert _decode_recipe(code.generator.select_columns(live[: code.k - 1])) is None
 
 
 @given(st.binary(min_size=1, max_size=40), st.binary(min_size=1, max_size=40))
@@ -244,7 +271,7 @@ def test_manifest_json_schema():
 
 
 def test_manifest_records_horizon_for_stream_codes():
-    manifest, _ = encode_stream(um_simplex(2), b"abcdefgh", 2)
+    manifest, _ = encode_object(um_block_code(2, 2), b"abcdefgh")
     doc = json.loads(manifest_to_json(manifest))
     assert doc["s"] == 2
     assert doc["k"] == 2
@@ -264,4 +291,20 @@ def test_directory_layout(tmp_path):
     assert [s.index for s in got] == [1, 2, 4, 5, 6]
     write_shards(tmp_path, [shards[3]])
     assert (tmp_path / shard_filename(3)).read_bytes() == shards[3].data
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_syncs_before_rename(tmp_path, monkeypatch):
+    pending_at_sync = []
+    real_fsync = storage.os.fsync
+
+    def fsync(fd):
+        pending_at_sync.append([p.name for p in tmp_path.glob("*.tmp")])
+        real_fsync(fd)
+
+    monkeypatch.setattr(storage.os, "fsync", fsync)
+    manifest, shards = encode_object(simplex_code(3), b"durable")
+    write_object_dir(tmp_path, manifest, shards)
+    expected = ["manifest.json.tmp"] + [shard_filename(i) + ".tmp" for i in range(7)]
+    assert pending_at_sync == [[name] for name in expected]
     assert not list(tmp_path.glob("*.tmp"))
