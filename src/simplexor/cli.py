@@ -287,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (InvalidCodeId, ValueError) as exc:
         return _usage(str(exc))
-    except storage.StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (storage.StorageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

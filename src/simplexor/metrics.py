@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from math import comb
 
 from .codes import (
@@ -174,19 +174,14 @@ def _all_masks(n, lo, hi):
     return zip(range(lo, hi), repeat(None))
 
 
-def _subsets_by_first(n, e, lo, hi):
-    """The e-subsets whose least index lies in [lo, hi), in lex order."""
-    if e == 0:
-        if lo == 0:
-            yield 0, ()
-        return
+def _subsets(n, e, lo, hi):
+    """The e-subsets of range(n) with lex rank in [lo, hi), in lex order."""
     bits = [1 << j for j in range(n)]
-    for first in range(lo, hi):
-        for rest in combinations(range(first + 1, n), e - 1):
-            mask = bits[first]
-            for j in rest:
-                mask |= bits[j]
-            yield mask, (first,) + rest
+    for erased in islice(combinations(range(n), e), lo, hi):
+        mask = 0
+        for j in erased:
+            mask |= bits[j]
+        yield mask, erased
 
 
 def _sampled_masks(n, seed, lo, hi):
@@ -209,7 +204,7 @@ def _bernoulli_subsets(n, prob, seed, lo, hi):
 
 _SOURCES = {
     "masks": _all_masks,
-    "subsets": _subsets_by_first,
+    "subsets": _subsets,
     "sampled_masks": _sampled_masks,
     "sampled_subsets": _sampled_subsets,
     "bernoulli": _bernoulli_subsets,
@@ -295,7 +290,7 @@ def verify_easy_repair_property(
             if total > MAX_SWEEP_PATTERNS:
                 raise TooLarge(f"{total} patterns exceeds the sweep guard")
             for e in range(cap + 1):
-                for lo, hi in _ranges(n - e + 1, workers):
+                for lo, hi in _ranges(comb(n, e), workers):
                     specs.append(("sweep", cols, k, None, "subsets", (e, lo, hi)))
         checked = (
             "easy-repair exhaustive"
@@ -323,7 +318,7 @@ def verify_parallel_capacity(
         total = comb(n, e)
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
-        for lo, hi in _ranges(n - e + 1 if e else 1, workers):
+        for lo, hi in _ranges(total, workers):
             specs.append(("sweep", cols, code.k, r, "subsets", (e, lo, hi)))
         checked = f"parallel r={r} e={e} exhaustive"
     else:

@@ -113,7 +113,8 @@ def code_columns(code: LinearCode) -> tuple[int, ...]:
 
 
 def full_rank_on_live(cols: Sequence[int], erased_mask: int, k: int) -> bool:
-    """True iff the columns outside erased_mask span GF(2)^k."""
+    """True iff the columns outside erased_mask reach rank k: for a code's
+    columns, iff they span GF(2)^k."""
     pivots: dict[int, int] = {}
     count = 0
     for j, v in enumerate(cols):
@@ -268,34 +269,23 @@ def easy_closure_for_mask(cols: Sequence[int], erased_mask: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Repair group enumeration (meet in the middle over column values)
+# Repair group enumeration (meet in the middle over independent subsets)
 
 
 @lru_cache(maxsize=12)
-def _subset_xor_map(cols: tuple[int, ...], size: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Every size-subset of node indices, as an ascending tuple, keyed by
-    the XOR of its columns; each list is in lex order."""
+def _independent_subsets(cols: tuple[int, ...], size: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every size-subset of node indices whose columns are independent
+    (rank size), as an ascending tuple, keyed by the XOR of its columns;
+    each list is in lex order.  No such subset holds a zero column."""
     out: dict[int, list[tuple[int, ...]]] = {}
     for idx in combinations(range(len(cols)), size):
-        v = 0
-        for i in idx:
-            v ^= cols[i]
-        out.setdefault(v, []).append(idx)
+        vals = [cols[i] for i in idx]
+        if full_rank_on_live(vals, 0, size):
+            v = 0
+            for c in vals:
+                v ^= c
+            out.setdefault(v, []).append(idx)
     return {v: tuple(lst) for v, lst in out.items()}
-
-
-def _is_minimal(vals: Sequence[int]) -> bool:
-    # No nonempty proper subset may XOR to zero.
-    m = len(vals)
-    if m == 1:
-        return True
-    sub = [0] * (1 << m)
-    for mask in range(1, (1 << m) - 1):
-        low = (mask & -mask).bit_length() - 1
-        sub[mask] = sub[mask & (mask - 1)] ^ vals[low]
-        if sub[mask] == 0:
-            return False
-    return True
 
 
 @lru_cache(maxsize=4096)
@@ -304,26 +294,37 @@ def _minimal_groups(
 ) -> tuple[tuple[int, ...], ...]:
     """All minimal repair groups for target, sorted by (size, indices).
 
-    Meet in the middle: a group of s helpers, as an ascending tuple, is
-    its first s//2 indices (enumerated) followed by a tail of the
-    remaining indices, looked up by the XOR it must supply.
+    s helpers XORing to the target column are minimal exactly when their
+    columns have rank s, or s - 1 for a zero target column (the whole
+    group then XORs to zero and no smaller subset may); they cannot have
+    more.  Size 1: the other nodes with the target's column, zero columns
+    for a zero target.  Size s >= 2: an ascending group is a head of its
+    first s//2 indices and a tail of the rest, both proper subsets and so
+    both drawn from the independent subsets, the tail by the XOR it must
+    supply.
     """
     tcol = cols[target]
-    others = [j for j in range(len(cols)) if j != target]
-    found: list[tuple[int, ...]] = []
-    for size in range(1, max_size + 1):
-        tails = _subset_xor_map(cols, size - size // 2)
-        for head in combinations(others, size // 2):
-            v = tcol
-            for i in head:
-                v ^= cols[i]
-            last = head[-1] if head else -1
-            for tail in tails.get(v, ()):
-                if tail[0] > last and target not in tail:
-                    found.append(head + tail)
-    minimal = [g for g in found if _is_minimal([cols[i] for i in g])]
-    minimal.sort(key=lambda g: (len(g), g))
-    return tuple(minimal)
+    found = [(j,) for j, c in enumerate(cols) if c == tcol and j != target]
+    for size in range(2, max_size + 1):
+        rank = size - (tcol == 0)
+        tails = _independent_subsets(cols, size - size // 2)
+        for hx, heads in _independent_subsets(cols, size // 2).items():
+            matches = tails.get(tcol ^ hx)
+            if not matches:
+                continue
+            for head in heads:
+                # tails whose first index lies past the head's last
+                later = matches[bisect.bisect_left(matches, (head[-1] + 1,)):]
+                if not later or target in head:
+                    continue
+                hvals = [cols[i] for i in head]
+                for tail in later:
+                    if target not in tail and full_rank_on_live(
+                        hvals + [cols[i] for i in tail], 0, rank
+                    ):
+                        found.append(head + tail)
+    found.sort(key=lambda g: (len(g), g))
+    return tuple(found)
 
 
 def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:

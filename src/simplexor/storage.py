@@ -13,6 +13,7 @@ import json
 import os
 import zlib
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -168,8 +169,13 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
     return _encode(code.generator, code.code_id, code.k, None, payload)
 
 
+@lru_cache(maxsize=32)
+def _code_for_id(code_id: str) -> LinearCode:
+    return parse_code_id(code_id)
+
+
 def _resolve_code(manifest: ShardManifest) -> LinearCode:
-    code = parse_code_id(manifest.code)
+    code = _code_for_id(manifest.code)
     if code.n != manifest.n:
         raise StorageError(f"manifest n={manifest.n} does not match code {manifest.code}")
     if code.generator.rows != manifest.fragment_count():

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -177,6 +179,39 @@ def test_verify_parallel_workers_match():
     solo = verify_parallel_capacity(code, 3, 3, Exhaustive(), workers=1)
     multi = verify_parallel_capacity(code, 3, 3, Exhaustive(), workers=3)
     assert solo == multi
+
+
+def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
+    # 97.8% of the 6-subsets of um:2:2's 24 nodes lead with an index
+    # below 10, so halving the range of first indices is lopsided here
+    code = um_block_code(2, 2)
+    specs = []
+
+    def capture(chunk_specs, workers):
+        specs.extend(chunk_specs)
+        return []
+
+    monkeypatch.setattr(metrics, "_run_chunks", capture)
+    verify_parallel_capacity(code, 2, 6, Exhaustive(), workers=2)
+    verify_easy_repair_property(code, Exhaustive(max_erasures=6), workers=2)
+    for chunks in (specs[:2], specs[-2:]):
+        assert [spec[-1][0] for spec in chunks] == [6, 6]
+        parts = [[erased for _, erased in metrics._subsets(code.n, *spec[-1])] for spec in chunks]
+        assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
+        assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
+
+
+def test_balanced_chunks_keep_reports_of_one_worker():
+    code = um_block_code(2, 2)
+    mode = Exhaustive(max_erasures=4)
+    assert verify_easy_repair_property(code, mode, workers=2) == verify_easy_repair_property(
+        code, mode, workers=1
+    )
+    # failing sweeps: the reported counterexample is the lex-first one
+    for args in ((simplex_code(3), 2, 4), (code, 2, 5)):
+        solo = verify_parallel_capacity(*args, Exhaustive(), workers=1)
+        assert not solo.verdict
+        assert verify_parallel_capacity(*args, Exhaustive(), workers=2) == solo
 
 
 K4_TABLE = [

@@ -31,8 +31,8 @@ from simplexor.repair import (
     max_disjoint_groups,
     parallel_repair_plan,
     _index_mask,
-    _is_minimal,
     _max_packing,
+    _minimal_groups,
     _projection_bound,
 )
 
@@ -251,25 +251,61 @@ def test_enumerated_groups_xor_to_target_and_are_minimal(code):
                     assert sub_acc != cols[target]
 
 
+def _no_zero_subset(vals):
+    """Brute-force minimality: walk all 2^m subset XORs, none of them
+    nonempty and proper may be zero."""
+    m = len(vals)
+    sub = [0] * (1 << m)
+    for mask in range(1, (1 << m) - 1):
+        low = (mask & -mask).bit_length() - 1
+        sub[mask] = sub[mask & (mask - 1)] ^ vals[low]
+        if sub[mask] == 0:
+            return False
+    return True
+
+
+def _brute_force_groups(cols, target, cap):
+    """Every minimal group of at most cap helpers, in (size, indices) order."""
+    others = [j for j in range(len(cols)) if j != target]
+    expected = []
+    for size in range(1, cap + 1):
+        for group in itertools.combinations(others, size):
+            acc = 0
+            for h in group:
+                acc ^= cols[h]
+            if acc == cols[target] and _no_zero_subset([cols[h] for h in group]):
+                expected.append(group)
+    return expected
+
+
 @pytest.mark.parametrize(
     "code, cap",
-    [(simplex_code(3), 6), (c2_code(4), 6), (um_block_code(2, 1), 4)],
+    [(simplex_code(3), 6), (c2_code(4), 6), (um_block_code(2, 1), 4), (um_block_code(2, 2), 4)],
     ids=lambda v: getattr(v, "code_id", v),
 )
 def test_enumerated_groups_match_brute_force(code, cap):
+    # um:2:2 has zero columns (zero targets among them) and duplicate columns
     cols = code_columns(code)
     for target in range(code.n):
-        others = [j for j in range(code.n) if j != target]
-        expected = []
-        for size in range(1, cap + 1):
-            for group in itertools.combinations(others, size):
-                acc = 0
-                for h in group:
-                    acc ^= cols[h]
-                if acc == cols[target] and _is_minimal([cols[h] for h in group]):
-                    expected.append(group)
         got = [tuple(sorted(g.helpers)) for g in enumerate_repair_groups(code, target, cap)]
-        assert got == expected
+        assert got == _brute_force_groups(cols, target, cap)
+
+
+@st.composite
+def columns_with_repeats(draw):
+    """Columns of a random matrix of at most 4 rows and 12 columns, with
+    at least one zero column and at least one duplicated column."""
+    k = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=9))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=2))
+    cols = base + copies + [0]
+    return tuple(draw(st.permutations(cols)))
+
+
+@given(columns_with_repeats(), st.integers(1, 5))
+def test_minimal_groups_match_brute_force_on_random_columns(cols, cap):
+    for target in range(len(cols)):
+        assert list(_minimal_groups(cols, target, cap)) == _brute_force_groups(cols, target, cap)
 
 
 def test_enumerate_groups_bound_validation():
@@ -373,8 +409,6 @@ def test_projection_hint_never_changes_the_packing(code):
     """The search must reach the same maximum with and without the
     row-projection upper bound, else the bound would be cutting below
     the true optimum."""
-    from simplexor.repair import _minimal_groups
-
     cols = code_columns(code)
     for target in range(0, code.n, 3):
         for cap in (2, 3, 4):

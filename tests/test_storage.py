@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import zlib
@@ -85,6 +86,30 @@ def test_decode_checksum_and_length_validation():
         decode_object(manifest, [Shard(7, shards[0].data)])
     with pytest.raises(StorageError, match="duplicate"):
         repair_shards(manifest, [shards[1], shards[1]], {0})
+
+
+def test_cached_code_resolution_still_checks_each_manifest(monkeypatch):
+    parsed = []
+
+    def counting_parse(code_id):
+        parsed.append(code_id)
+        return parse_code_id(code_id)
+
+    monkeypatch.setattr(storage, "parse_code_id", counting_parse)
+    storage._code_for_id.cache_clear()
+    payload = b"cached code"
+    manifest, shards = encode_object(simplex_code(3), payload)
+    assert decode_object(manifest, shards) == payload
+    assert repair_shards(manifest, shards[1:], {0}).shards == (shards[0],)
+    assert parsed == ["simplex:3"]
+    wrong_n = dataclasses.replace(manifest, n=8, checksums=manifest.checksums + ("0" * 8,))
+    with pytest.raises(StorageError, match="does not match code"):
+        decode_object(wrong_n, shards)
+    with pytest.raises(StorageError, match="does not match code"):
+        repair_shards(wrong_n, shards[1:], {0})
+    with pytest.raises(StorageError, match="fragment count"):
+        decode_object(dataclasses.replace(manifest, k=2), shards)
+    storage._code_for_id.cache_clear()
 
 
 def test_repair_hard_pattern_uses_only_easy_steps():
