@@ -141,6 +141,10 @@ class Sampled:
     seed: int
     trials: int
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -263,10 +267,9 @@ def _run_chunks(specs, workers: int):
 
 
 def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 0
     if not total:
         return [(0, 0)]
-    step = -(-total // parts)
+    step = -(-total // max(1, min(parts, total)))
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 

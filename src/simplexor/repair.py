@@ -340,80 +340,54 @@ def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> lis
 # Exact maximum disjoint packing (branch and bound, lex-first witness)
 
 
-def _greedy_pack_count(masks: Sequence[int]) -> int:
-    best = 0
-    for order in (sorted(masks, key=lambda m: (m.bit_count(), m)), masks):
-        used = 0
-        count = 0
-        for m in order:
-            if not m & used:
-                used |= m
-                count += 1
-        best = max(best, count)
-    return best
-
-
-def _greedy_cover_bits(masks: Sequence[int]) -> list[int]:
-    """Elements of a greedy hitting set of the masks, as single-bit ints."""
-    remaining = list(masks)
-    bits: list[int] = []
-    while remaining:
-        freq: dict[int, int] = {}
-        for m in remaining:
-            while m:
-                b = m & -m
-                freq[b] = freq.get(b, 0) + 1
-                m ^= b
-        best_bit = max(sorted(freq), key=lambda b: freq[b])
-        bits.append(best_bit)
-        remaining = [m for m in remaining if not m & best_bit]
-    return bits
+def _compatibility(masks: Sequence[int], full: int) -> tuple[dict[int, int], list[int]]:
+    """The incidence map, node -> bitset of the masks holding that node, and
+    per mask the bitset of masks disjoint from it (all minus the map entries
+    of its nodes)."""
+    holders: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for node in mask_indices(m):
+            holders[node] = holders.get(node, 0) | 1 << i
+    adj = []
+    for m in masks:
+        hit = 0
+        for node in mask_indices(m):
+            hit |= holders[node]
+        adj.append(full & ~hit)
+    return holders, adj
 
 
 class _PackingSolver:
     """Exact max disjoint packing as max clique on the compatibility graph.
 
-    Vertices are groups, edges join disjoint ones.  Branch and bound with
-    two complementary bounds: the greedy-coloring bound (at most one
-    vertex per independent class) and a hitting-set bound (every packed
-    group spends one element of a fixed cover).  Vertices are relabeled by
-    compatibility degree so the coloring packs classes tightly; the public
-    indices stay in lex order of the helper tuples.
+    Vertices are nonempty groups, edges join disjoint ones.  One incidence
+    map, node -> bitset of the groups holding that node, gives both the
+    graph and a hitting-set cover: a greedy set of nodes, each the node on
+    the most still-uncovered groups (lowest node on ties), whose map entries
+    are the cover's vertex sets.  Branch and bound with two complementary
+    bounds: the greedy-coloring bound (at most one vertex per independent
+    class) and the hitting-set bound (every packed group spends one cover
+    node).  Vertices are relabeled by compatibility degree so the coloring
+    packs classes tightly, and the map is built again over the relabeled
+    groups; the public indices stay in lex order of the helper tuples.
     """
 
     def __init__(self, masks: Sequence[int]):
         n = len(masks)
-        lex_adj = [0] * n
-        for i in range(n):
-            mi = masks[i]
-            row = lex_adj[i]
-            for j in range(i + 1, n):
-                if not mi & masks[j]:
-                    row |= 1 << j
-                    lex_adj[j] |= 1 << i
-            lex_adj[i] = row
+        self.full = full = (1 << n) - 1
+        _, lex_adj = _compatibility(masks, full)
         perm = sorted(range(n), key=lambda v: (lex_adj[v].bit_count(), v))
         self.pos = [0] * n
         for s, v in enumerate(perm):
             self.pos[v] = s
-        self.adj = [0] * n
-        for i in range(n):
-            row = 0
-            m = lex_adj[i]
-            while m:
-                b = m & -m
-                row |= 1 << self.pos[b.bit_length() - 1]
-                m ^= b
-            self.adj[self.pos[i]] = row
-        self.full = (1 << n) - 1 if n else 0
-        # vertex sets through each cover element, for the hitting-set bound
+        holders, self.adj = _compatibility([masks[v] for v in perm], full)
+        nodes = sorted(holders)
         self.cover_verts = []
-        for bit in _greedy_cover_bits(masks):
-            verts = 0
-            for i in range(n):
-                if masks[i] & bit:
-                    verts |= 1 << self.pos[i]
+        left = full
+        while left:
+            verts = holders[max(nodes, key=lambda node: (holders[node] & left).bit_count())]
             self.cover_verts.append(verts)
+            left &= ~verts
 
     def max_clique(self, start: int, best_start: int, stop_at: int | None) -> int:
         adj = self.adj
@@ -551,13 +525,13 @@ def _greedy_most_compatible(solver: _PackingSolver) -> int:
     return count
 
 
-def _packing_size(solver: _PackingSolver, lower: int, upper_hint: int | None) -> int:
+def _packing_size(solver: _PackingSolver, upper_hint: int | None) -> int:
     """Exact packing number via descending feasibility tests.
 
     Starting from the best known upper bound keeps the incumbent maximal
     during each test, so all bounds prune as hard as they can.
     """
-    lb = max(lower, _greedy_most_compatible(solver))
+    lb = _greedy_most_compatible(solver)
     ub = len(solver.cover_verts)
     if upper_hint is not None and upper_hint < ub:
         ub = upper_hint
@@ -577,7 +551,7 @@ def _max_packing(
     ordered = sorted(groups)
     masks = [_index_mask(g) for g in ordered]
     solver = _PackingSolver(masks)
-    size = _packing_size(solver, _greedy_pack_count(masks), upper_hint)
+    size = _packing_size(solver, upper_hint)
     # Rebuild the witness front to back: take the lex-least group that
     # still allows a packing of the remaining size.
     chosen: list[int] = []
@@ -698,6 +672,7 @@ def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]
     hit each of its pairwise-disjoint groups; the other groups follow in
     (size, indices) order.
     """
+    _checked_size(r)
     out = []
     for target in range(len(cols)):
         packing: list[int] = []
@@ -728,8 +703,6 @@ def parallel_repair_plan(
     code: LinearCode, pattern: ErasurePattern, r: int
 ) -> RepairPlan | RepairFailure:
     """One all-live repair group of size <= r per erased node, independently."""
-    if r < 1:
-        raise InvalidBound("r must be >= 1")
     _checked_size(r)
     cols = code_columns(code)
     erased_mask = _index_mask(pattern.erased)

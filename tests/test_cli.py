@@ -224,6 +224,40 @@ def test_verify_requires_some_mode(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--code", "c2:3", "--r", "0", "--max-erasures", "1", "--exhaustive"],
+        ["verify", "--code", "simplex:3", "--r", "7", "--max-erasures", "1", "--exhaustive"],
+        ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
+         "--max-erasures", "2", "--r", "7"],
+    ],
+    ids=["verify-r0", "verify-r7", "simulate-r7"],
+)
+def test_group_size_bound_out_of_range_is_usage_error(capsys, args):
+    status, out, err = run(capsys, *args)
+    assert status == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--code", "simplex:3", "--seed", "1", "--trials", "0"],
+        ["verify", "--code", "simplex:3", "--seed", "1", "--trials", "-5"],
+        ["simulate", "--code", "simplex:3", "--seed", "1", "--trials", "0",
+         "--max-erasures", "2"],
+    ],
+    ids=["verify-0", "verify-minus-5", "simulate-0"],
+)
+def test_sampling_without_trials_is_usage_error(capsys, args):
+    status, out, err = run(capsys, *args)
+    assert status == 2
+    assert "trials must be >= 1" in err
+    assert out == ""
+
+
 def test_simulate_requires_seed():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--code", "simplex:3", "--trials", "10", "--max-erasures", "2"])

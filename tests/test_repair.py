@@ -30,6 +30,7 @@ from simplexor.repair import (
     locality,
     max_disjoint_groups,
     parallel_repair_plan,
+    _PackingSolver,
     _index_mask,
     _max_packing,
     _minimal_groups,
@@ -362,33 +363,50 @@ def test_max_disjoint_groups_lex_witness():
     assert max_disjoint_groups(code, 0, 2) == (count, witness)
 
 
-@given(
-    st.lists(
-        st.sets(st.integers(0, 7), min_size=1, max_size=3).map(lambda s: tuple(sorted(s))),
-        min_size=0,
-        max_size=9,
-        unique=True,
-    )
+def _disjoint_families(groups, used=0, start=0):
+    """Every pairwise-disjoint subfamily of groups, each in list order."""
+    yield []
+    for i in range(start, len(groups)):
+        mask = _index_mask(groups[i])
+        if not mask & used:
+            for rest in _disjoint_families(groups, used | mask, i + 1):
+                yield [groups[i], *rest]
+
+
+_GROUP_LISTS = st.lists(
+    st.sets(st.integers(0, 11), min_size=1, max_size=3).map(lambda s: tuple(sorted(s))),
+    min_size=0,
+    max_size=14,
+    unique=True,
 )
+
+
+@given(_GROUP_LISTS)
 def test_max_packing_matches_brute_force(groups):
-    best = 0
-    witnesses = []
-    for r in range(len(groups) + 1):
-        for combo in itertools.combinations(sorted(groups), r):
-            masks = [_index_mask(g) for g in combo]
-            if all(
-                not (masks[i] & masks[j])
-                for i in range(len(masks))
-                for j in range(i + 1, len(masks))
-            ):
-                if r > best:
-                    best = r
-                    witnesses = [list(combo)]
-                elif r == best:
-                    witnesses.append(list(combo))
+    families = list(_disjoint_families(sorted(groups)))
+    best = max(len(f) for f in families)
     got = _max_packing(groups)
     assert len(got) == best
-    assert got == min(witnesses)
+    assert got == min(f for f in families if len(f) == best)
+
+
+@given(_GROUP_LISTS)
+def test_packing_solver_graph_and_cover_match_the_groups(groups):
+    masks = [_index_mask(g) for g in groups]
+    solver = _PackingSolver(masks)
+    pos = solver.pos
+    assert sorted(pos) == list(range(len(masks)))
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            assert (solver.adj[pos[i]] >> pos[j]) & 1 == (not mi & mj)
+    through = {
+        node: sum(1 << pos[i] for i, m in enumerate(masks) if (m >> node) & 1)
+        for node in range(12)
+    }
+    for verts in solver.cover_verts:
+        assert verts in through.values()
+    for i in range(len(masks)):
+        assert any((verts >> pos[i]) & 1 for verts in solver.cover_verts)
 
 
 def test_projection_bound_is_a_valid_upper_bound():
