@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from math import comb
 
 from .codes import (
@@ -157,25 +157,18 @@ class VerifyReport:
     counterexample: tuple[int, ...] | None
 
 
-def _merge_counts(parts):
-    examined = correctable = repaired = 0
-    counterexample = None
-    for ex, co, re_, ce in parts:
-        examined += ex
-        correctable += co
-        repaired += re_
-        if counterexample is None and ce is not None:
-            counterexample = ce
-    return examined, correctable, repaired, counterexample
+def _merge_counts(parts, least: bool = False):
+    """Sum chunk tallies.  The counterexample is the first chunk's first
+    failure, or with least the smallest failing mask of any chunk."""
+    fails = [low if least else first for *_, first, low in parts if first is not None]
+    ce = (min(fails) if least else fails[0]) if fails else None
+    examined, correctable, repaired = (sum(p[i] for p in parts) for i in range(3))
+    return examined, correctable, repaired, None if ce is None else mask_indices(ce)
 
 
 # Pattern sources: each yields (erasure bitmask, ascending erased indices)
 # for one chunk.  Sources that draw whole masks leave the indices None:
 # their patterns go only to the easy-repair check, which needs the mask.
-
-
-def _all_masks(n, lo, hi):
-    return zip(range(lo, hi), repeat(None))
 
 
 def _subsets(n, e, lo, hi):
@@ -207,7 +200,6 @@ def _bernoulli_subsets(n, prob, seed, lo, hi):
 
 
 _SOURCES = {
-    "masks": _all_masks,
     "subsets": _subsets,
     "sampled_masks": _sampled_masks,
     "sampled_subsets": _sampled_subsets,
@@ -226,33 +218,80 @@ def _parallel_ok(tables, erased_mask, erased) -> bool:
     return True
 
 
-def _easy_verdict(cols, k, mask, erased):
+def _easy_verdict(cols, k, mask, erased=None):
     """None for an uncorrectable pattern, else whether easy repair recovers it."""
     if not full_rank_on_live(cols, mask, k):
         return None
     return easy_closure_for_mask(cols, mask)
 
 
-def _sweep_chunk(cols, k, r, source, args):
-    """Tally one chunk of patterns: easy repair of every correctable pattern
-    when r is None, else parallel r-repair of every pattern."""
-    if r is None:
-        verdict = partial(_easy_verdict, cols, k)
-    else:
-        verdict = partial(_parallel_ok, parallel_table(cols, r))
+def _walk(cols, k, pairs, e, lo, hi):
+    """(mask, easy verdict) of the e-subsets of lex rank in [lo, hi), in lex
+    order, each inherited from its parent where possible.
+
+    The parent of E + {i}, i above every index of E, is E; the child keeps
+    E's verdict in two cases.  E is uncorrectable: a superset's live
+    columns span less.  Or pairs[i] (``parallel_table(cols, 2)[i]``) has a
+    group disjoint from E + {i}: that replica or XOR pair is live, so i is
+    in the easy closure of the child's live set L - {i}.  The closure is
+    monotone and idempotent, so closure(L - {i}) = closure(L); and
+    span(L - {i}) = span(L), as it holds column i.  Correctability reads
+    the span and easy repair the closure.  Otherwise the child gets its own
+    rank check and closure.  The prefix masks and verdicts of the current
+    tuple are redone from the first index the next tuple changes, so a
+    chunk that starts mid-order rebuilds at most e of them.
+    """
+    n = len(cols)
+    bits = [1 << j for j in range(n)]
+    tops = range(n - e, n)  # the largest index each position can hold
+    masks = [0] * (e + 1)
+    verdicts = [_easy_verdict(cols, k, 0)] * (e + 1)
+    d = 0
+    for erased in islice(combinations(range(n), e), lo, hi):
+        for d in range(d, e):
+            i = erased[d]
+            mask = masks[d] | bits[i]
+            masks[d + 1] = mask
+            ok = verdicts[d]
+            if ok is not None:
+                for g in pairs[i]:
+                    if not g & mask:
+                        break
+                else:
+                    ok = _easy_verdict(cols, k, mask)
+            verdicts[d + 1] = ok
+        yield masks[e], verdicts[e]
+        # the next tuple first differs at the last position below its top
+        d = e - 1
+        while d > 0 and erased[d] == tops[d]:
+            d -= 1
+
+
+def _sweep_chunk(cols, k, table, source, args):
+    """Tally one chunk: easy repair of every correctable pattern of the walk
+    (table: its size-2 table) or of sampled masks (table None), else
+    parallel repair of every pattern with table.  Returns the counts and
+    the first and the least failing mask."""
+    if source == "walk":  # (mask, verdict) pairs
+        patterns, verdict = _walk(cols, k, table, *args), None
+    else:  # (mask, erased) pairs
+        patterns = _SOURCES[source](len(cols), *args)
+        verdict = partial(_easy_verdict, cols, k) if table is None else partial(_parallel_ok, table)
     examined = correctable = repaired = 0
-    counterexample = None
-    for mask, erased in _SOURCES[source](len(cols), *args):
+    first = least = None
+    for mask, item in patterns:
         examined += 1
-        ok = verdict(mask, erased)
+        ok = item if verdict is None else verdict(mask, item)
         if ok is None:
             continue
         correctable += 1
         if ok:
             repaired += 1
-        elif counterexample is None:
-            counterexample = mask_indices(mask)
-    return examined, correctable, repaired, counterexample
+        elif first is None:
+            first = least = mask
+        elif mask < least:
+            least = mask
+    return examined, correctable, repaired, first, least
 
 
 def _run_chunk(spec):
@@ -276,35 +315,28 @@ def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
 def verify_easy_repair_property(
     code: LinearCode, mode: Exhaustive | Sampled, workers: int = 1
 ) -> VerifyReport:
-    """Sweep erasure patterns; every correctable one must easy-repair."""
+    """Sweep erasure patterns; every correctable one must easy-repair.
+    Exhaustive sweeps walk the erasure lattice (``_walk``) and report the
+    first failure in (count, lex) order when capped, else the least mask."""
     cols = code_columns(code)
     n, k = code.n, code.k
-    specs: list[tuple] = []
     if isinstance(mode, Exhaustive):
-        if mode.max_erasures is None:
-            total = 1 << n
-            if total > MAX_SWEEP_PATTERNS:
-                raise TooLarge(f"2^{n} patterns exceeds the sweep guard")
-            for lo, hi in _ranges(total, workers * 4):
-                specs.append(("sweep", cols, k, None, "masks", (lo, hi)))
-        else:
-            cap = min(mode.max_erasures, n)
-            total = sum(comb(n, e) for e in range(cap + 1))
-            if total > MAX_SWEEP_PATTERNS:
-                raise TooLarge(f"{total} patterns exceeds the sweep guard")
-            for e in range(cap + 1):
-                for lo, hi in _ranges(comb(n, e), workers):
-                    specs.append(("sweep", cols, k, None, "subsets", (e, lo, hi)))
-        checked = (
-            "easy-repair exhaustive"
-            if mode.max_erasures is None
-            else f"easy-repair exhaustive <={mode.max_erasures} erasures"
-        )
+        cap = n if mode.max_erasures is None else min(mode.max_erasures, n)
+        total = sum(comb(n, e) for e in range(cap + 1))
+        if total > MAX_SWEEP_PATTERNS:
+            raise TooLarge(f"{total} patterns exceeds the sweep guard")
+        pairs = parallel_table(cols, 2)
+        specs = [("sweep", cols, k, pairs, "walk", (e, lo, hi))
+                 for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
+        checked = "easy-repair exhaustive"
+        if mode.max_erasures is not None:
+            checked += f" <={mode.max_erasures} erasures"
     else:
-        for lo, hi in _ranges(mode.trials, workers * 4):
-            specs.append(("sweep", cols, k, None, "sampled_masks", (mode.seed, lo, hi)))
+        specs = [("sweep", cols, k, None, "sampled_masks", (mode.seed, lo, hi))
+                 for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
-    examined, correctable, repaired, ce = _merge_counts(_run_chunks(specs, workers))
+    least = isinstance(mode, Exhaustive) and mode.max_erasures is None
+    examined, correctable, repaired, ce = _merge_counts(_run_chunks(specs, workers), least)
     return VerifyReport(code.code_id, checked, ce is None, examined, correctable, repaired, ce)
 
 
@@ -316,17 +348,16 @@ def verify_parallel_capacity(
     n = code.n
     if not 0 <= e <= n:
         raise ValueError(f"erasure count {e} outside 0..{n}")
-    specs: list[tuple] = []
+    if isinstance(mode, Exhaustive) and comb(n, e) > MAX_SWEEP_PATTERNS:
+        raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
+    table = parallel_table(cols, r)
     if isinstance(mode, Exhaustive):
-        total = comb(n, e)
-        if total > MAX_SWEEP_PATTERNS:
-            raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
-        for lo, hi in _ranges(total, workers):
-            specs.append(("sweep", cols, code.k, r, "subsets", (e, lo, hi)))
+        specs = [("sweep", cols, code.k, table, "subsets", (e, lo, hi))
+                 for lo, hi in _ranges(comb(n, e), workers)]
         checked = f"parallel r={r} e={e} exhaustive"
     else:
-        for lo, hi in _ranges(mode.trials, workers * 4):
-            specs.append(("sweep", cols, code.k, r, "sampled_subsets", (e, mode.seed, lo, hi)))
+        specs = [("sweep", cols, code.k, table, "sampled_subsets", (e, mode.seed, lo, hi))
+                 for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
     examined, _, repaired, ce = _merge_counts(_run_chunks(specs, workers))
     return VerifyReport(code.code_id, checked, ce is None, examined, examined, repaired, ce)
@@ -467,11 +498,11 @@ class SimulationReport:
     mean_xors_per_repaired_node: float
 
 
-def _sim_chunk(cols, k, r_values, source, args):
-    tables = {r: parallel_table(cols, r) for r in r_values}
+def _sim_chunk(cols, k, tables, source, args):
+    """Tally one chunk of trials; tables holds one parallel table per r."""
     hist: dict[int, int] = {}
     trials = correctable = easy_ok = 0
-    par_ok = {r: 0 for r in r_values}
+    par_ok = [0] * len(tables)
     xor_total = nodes_total = 0
     for emask, erased in _SOURCES[source](len(cols), *args):
         trials += 1
@@ -483,11 +514,11 @@ def _sim_chunk(cols, k, r_values, source, args):
                 easy_ok += 1
                 nodes_total += len(steps)
                 xor_total += sum(len(h) - 1 for _, h in steps)
-        for r in r_values:
-            if _parallel_ok(tables[r], emask, erased):
-                par_ok[r] += 1
+        for i, table in enumerate(tables):
+            if _parallel_ok(table, emask, erased):
+                par_ok[i] += 1
     return (trials, tuple(sorted(hist.items())), correctable, easy_ok,
-            tuple(par_ok[r] for r in r_values), xor_total, nodes_total)
+            tuple(par_ok), xor_total, nodes_total)
 
 
 _CHUNK_RUNNERS = {"sweep": _sweep_chunk, "sim": _sim_chunk}
@@ -511,8 +542,9 @@ def monte_carlo_repair(
             raise ValueError("erasure count out of range")
     else:
         source, arg = "bernoulli", model.prob
+    tables = tuple(parallel_table(cols, r) for r in r_values)
     specs = [
-        ("sim", cols, code.k, r_values, source, (arg, seed, lo, hi))
+        ("sim", cols, code.k, tables, source, (arg, seed, lo, hi))
         for lo, hi in _ranges(trials, workers * 4)
     ]
     parts = _run_chunks(specs, workers)

@@ -3,6 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simplexor import metrics
 from simplexor.codes import (
@@ -33,7 +34,14 @@ from simplexor.metrics import (
     verify_easy_repair_property,
     verify_parallel_capacity,
 )
-from simplexor.repair import locality
+from simplexor.repair import (
+    InvalidBound,
+    code_columns,
+    easy_closure_for_mask,
+    full_rank_on_live,
+    locality,
+    parallel_table,
+)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -212,6 +220,152 @@ def test_balanced_chunks_keep_reports_of_one_worker():
         solo = verify_parallel_capacity(*args, Exhaustive(), workers=1)
         assert not solo.verdict
         assert verify_parallel_capacity(*args, Exhaustive(), workers=2) == solo
+
+
+def _code_from_columns(code_id, k, cols):
+    rows = [[(c >> i) & 1 for c in cols] for i in range(k)]
+    return LinearCode(code_id, "custom", k, len(cols), BitMatrix.from_rows(rows))
+
+
+def _reference_easy_sweep(code, cap=None):
+    """The per-pattern exhaustive sweep: a rank check and a closure on every
+    pattern.  Uncapped it runs over the masks in integer order, capped over
+    the e-subsets in (e, lex) order; the counterexample is the first
+    failure in that order."""
+    cols, n = code_columns(code), code.n
+    if cap is None:
+        patterns = range(1 << n)
+        checked = "easy-repair exhaustive"
+    else:
+        patterns = (sum(1 << j for j in erased)
+                    for e in range(min(cap, n) + 1) for erased in combinations(range(n), e))
+        checked = f"easy-repair exhaustive <={cap} erasures"
+    examined = correctable = repaired = 0
+    counterexample = None
+    for mask in patterns:
+        examined += 1
+        if not full_rank_on_live(cols, mask, code.k):
+            continue
+        correctable += 1
+        if easy_closure_for_mask(cols, mask):
+            repaired += 1
+        elif counterexample is None:
+            counterexample = tuple(j for j in range(n) if mask >> j & 1)
+    return metrics.VerifyReport(code.code_id, checked, counterexample is None, examined,
+                                correctable, repaired, counterexample)
+
+
+@st.composite
+def small_codes_with_repeats(draw):
+    """A code of at most 4 rows and 10 columns with at least one zero
+    column and at least one duplicated column; its rows need not be
+    independent."""
+    k = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=7))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=2))
+    cols = draw(st.permutations(base + copies + [0]))
+    return _code_from_columns("random", k, cols)
+
+
+@given(small_codes_with_repeats(), st.data())
+def test_lattice_walk_matches_per_pattern_sweep(code, data):
+    cap = data.draw(st.none() | st.integers(0, code.n + 1))
+    assert verify_easy_repair_property(code, Exhaustive(cap)) == _reference_easy_sweep(code, cap)
+
+
+# Losing node 2 alone fails first in (count, lex) order, but the failing
+# pair {0, 1}, the only two copies of column 1, has the smaller bitmask.
+SPLIT_ORDER_COLUMNS = (1, 1, 2, 4, 7)
+
+
+@pytest.mark.parametrize(
+    "cols, k, least, lex_first",
+    [((1, 2, 4, 7), 3, (0,), (0,)), (SPLIT_ORDER_COLUMNS, 3, (0, 1), (2,))],
+    ids=["no-easy", "split-order"],
+)
+def test_failing_sweeps_agree_across_workers(cols, k, least, lex_first):
+    code = _code_from_columns("failing", k, cols)
+    for cap, expect in ((None, least), (len(cols), lex_first)):
+        reference = _reference_easy_sweep(code, cap)
+        assert reference.counterexample == expect
+        for workers in (1, 2, 3):
+            assert verify_easy_repair_property(code, Exhaustive(cap), workers=workers) == reference
+
+
+def _subcodes(code):
+    """Every subcode of the row space, as the frozenset of its words."""
+    words = {0}
+    for row in code.generator.row_bits:
+        words |= {w ^ row for w in words}
+    found = {frozenset({0})}
+    frontier = list(found)
+    while frontier:
+        grown = {u | {x ^ w for x in u} for u in frontier for w in words - u}
+        frontier = list(grown - found)
+        found |= grown
+    return found
+
+
+def _correctable_counts(code):
+    """Correctable e-erasure patterns for each e, by Moebius inversion over
+    the subcodes U (the critical theorem of Crapo and Rota).
+
+    With independent rows, a live set of n - e positions recovers the
+    message exactly when no nonzero codeword vanishes on it.  The live sets on which every word of
+    U vanishes are those inside z(U), the positions where all of U is zero,
+    so the count is the sum over U of mu(U) C(z(U), n - e), with
+    mu(U) = (-1)^d 2^(d(d-1)/2) for d = dim U.
+    """
+    n = code.n
+    counts = [0] * (n + 1)
+    for u in _subcodes(code):
+        d = len(u).bit_length() - 1
+        support = 0
+        for w in u:
+            support |= w
+        z = n - support.bit_count()
+        mu = (-1) ** d * 2 ** (d * (d - 1) // 2)
+        for e in range(n + 1):
+            counts[e] += mu * comb(z, n - e)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "code", [simplex_code(3), c2_code(4), um_block_code(2, 1)], ids=lambda c: c.code_id
+)
+def test_walk_counts_match_the_critical_theorem(code):
+    cols = code_columns(code)
+    pairs = parallel_table(cols, 2)
+    per_e = [metrics._sweep_chunk(cols, code.k, pairs, "walk", (e, 0, comb(code.n, e)))[1]
+             for e in range(code.n + 1)]
+    assert per_e == _correctable_counts(code)
+    assert verify_easy_repair_property(code, Exhaustive()).correctable == sum(per_e)
+
+
+def test_walk_count_of_um22_up_to_six_erasures():
+    report = verify_easy_repair_property(um_block_code(2, 2), Exhaustive(max_erasures=6))
+    assert (report.patterns_examined, report.correctable, report.repaired) == (
+        190051, 190042, 190042)
+
+
+def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
+    code = um_block_code(2, 1)
+    built = []
+    table = metrics.parallel_table
+    monkeypatch.setattr(metrics, "parallel_table", lambda cols, r: built.append(r) or table(cols, r))
+    verify_parallel_capacity(code, 3, 4, Sampled(seed=1, trials=200))
+    monte_carlo_repair(code, 200, FixedErasures(4), seed=1, r_values=(2, 3))
+    verify_easy_repair_property(code, Exhaustive(max_erasures=4))
+    assert built == [3, 2, 3, 2]
+
+    def no_chunks(specs, workers):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(metrics, "_run_chunks", no_chunks)
+    with pytest.raises(InvalidBound):
+        verify_parallel_capacity(code, 7, 2, Sampled(seed=1, trials=10), workers=2)
+    with pytest.raises(InvalidBound):
+        monte_carlo_repair(code, 10, FixedErasures(2), seed=1, r_values=(0,), workers=2)
 
 
 K4_TABLE = [
