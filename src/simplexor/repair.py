@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
@@ -269,62 +268,91 @@ def easy_closure_for_mask(cols: Sequence[int], erased_mask: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Repair group enumeration (meet in the middle over independent subsets)
+# Repair group enumeration (one circuit pass per code and cap)
 
 
 @lru_cache(maxsize=12)
 def _independent_subsets(cols: tuple[int, ...], size: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Every size-subset of node indices whose columns are independent
     (rank size), as an ascending tuple, keyed by the XOR of its columns;
-    each list is in lex order.  No such subset holds a zero column."""
+    each list is in lex order.  A subset of size s is one of size s - 1
+    plus a later index whose column lies outside its span, so no such
+    subset holds a zero column."""
+    if size == 0:
+        return {0: ((),)}
+    n = len(cols)
     out: dict[int, list[tuple[int, ...]]] = {}
-    for idx in combinations(range(len(cols)), size):
-        vals = [cols[i] for i in idx]
-        if full_rank_on_live(vals, 0, size):
-            v = 0
-            for c in vals:
-                v ^= c
-            out.setdefault(v, []).append(idx)
-    return {v: tuple(lst) for v, lst in out.items()}
+    for v, subsets in _independent_subsets(cols, size - 1).items():
+        for sub in subsets:
+            span = {0}
+            for i in sub:
+                span |= {x ^ cols[i] for x in span}
+            for j in range(sub[-1] + 1 if sub else 0, n):
+                c = cols[j]
+                if c not in span:
+                    out.setdefault(v ^ c, []).append(sub + (j,))
+    return {v: tuple(sorted(lst)) for v, lst in out.items()}
 
 
-@lru_cache(maxsize=4096)
-def _minimal_groups(
-    cols: tuple[int, ...], target: int, max_size: int
-) -> tuple[tuple[int, ...], ...]:
-    """All minimal repair groups for target, sorted by (size, indices).
+@lru_cache(maxsize=32)
+def _circuits(cols: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """Every circuit (minimal dependent set) of size nonzero columns, as
+    an ascending index tuple, in lex order.
 
-    s helpers XORing to the target column are minimal exactly when their
-    columns have rank s, or s - 1 for a zero target column (the whole
-    group then XORs to zero and no smaller subset may); they cannot have
-    more.  Size 1: the other nodes with the target's column, zero columns
-    for a zero target.  Size s >= 2: an ascending group is a head of its
-    first s//2 indices and a tail of the rest, both proper subsets and so
-    both drawn from the independent subsets, the tail by the XOR it must
-    supply.
+    A circuit's head, its first size//2 indices, and its tail, its last
+    size//2, are proper subsets and so independent; an odd circuit has one
+    middle index between them.  The XOR of the head and the middle equals
+    the tail's.  Such a candidate is a circuit iff its rank is size - 1,
+    which holds by itself for sizes 2 and 3, where no column is zero or
+    equals another.
     """
-    tcol = cols[target]
-    found = [(j,) for j, c in enumerate(cols) if c == tcol and j != target]
-    for size in range(2, max_size + 1):
-        rank = size - (tcol == 0)
-        tails = _independent_subsets(cols, size - size // 2)
-        for hx, heads in _independent_subsets(cols, size // 2).items():
-            matches = tails.get(tcol ^ hx)
-            if not matches:
-                continue
-            for head in heads:
-                # tails whose first index lies past the head's last
-                later = matches[bisect.bisect_left(matches, (head[-1] + 1,)):]
-                if not later or target in head:
-                    continue
-                hvals = [cols[i] for i in head]
-                for tail in later:
-                    if target not in tail and full_rank_on_live(
-                        hvals + [cols[i] for i in tail], 0, rank
-                    ):
-                        found.append(head + tail)
-    found.sort(key=lambda g: (len(g), g))
-    return tuple(found)
+    subsets = _independent_subsets(cols, size // 2)
+    # (head plus middle, the XOR its tail must have)
+    lefts = ((head, v) for v, heads in subsets.items() for head in heads)
+    if size % 2:
+        n = len(cols)
+        lefts = (
+            (head + (m,), v ^ cols[m]) for head, v in lefts for m in range(head[-1] + 1, n) if cols[m]
+        )
+    out = []
+    for left, key in lefts:
+        tails = subsets.get(key)
+        if not tails:
+            continue
+        # tails whose first index lies past the left part's last
+        for tail in tails[bisect.bisect_left(tails, (left[-1] + 1,)) :]:
+            cand = left + tail
+            if size < 4 or full_rank_on_live([cols[i] for i in cand], 0, size - 1):
+                out.append(cand)
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=32)
+def _group_table(cols: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
+    """Per target, all its minimal repair groups of at most cap helpers,
+    as helper bitmasks in (size, indices) order.
+
+    s helpers XORing to a nonzero target column are minimal exactly when
+    they and the target form a circuit, so one pass over the circuits of
+    2..cap + 1 nonzero columns hands C minus x to every member x of each
+    circuit C.  A zero column is a loop: its groups are the other zero
+    columns and every circuit of at most cap nonzero columns.  Circuits
+    come by size and in lex order, and dropping a common member keeps two
+    circuits in lex order, so no list needs a sort.
+    """
+    table: list[list[int]] = [[] for _ in cols]
+    loop_groups: list[int] = []
+    for size in range(2, cap + 2):
+        for circuit in _circuits(cols, size):
+            mask = _index_mask(circuit)
+            for x in circuit:
+                table[x].append(mask ^ (1 << x))
+            if size <= cap:
+                loop_groups.append(mask)
+    zeros = [j for j, c in enumerate(cols) if not c]
+    for z in zeros:
+        table[z] = [1 << j for j in zeros if j != z] + loop_groups
+    return tuple(map(tuple, table))
 
 
 def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:
@@ -332,8 +360,8 @@ def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> lis
     _checked_size(max_size)
     if not 0 <= target < code.n:
         raise DimensionMismatch("target index out of range")
-    groups = _minimal_groups(code_columns(code), target, max_size)
-    return [RepairGroup(target, frozenset(g)) for g in groups]
+    groups = _group_table(code_columns(code), max_size)[target]
+    return [RepairGroup(target, frozenset(mask_indices(g))) for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +570,13 @@ def _packing_size(solver: _PackingSolver, upper_hint: int | None) -> int:
     return lb
 
 
-def _max_packing(
-    groups: Sequence[tuple[int, ...]], upper_hint: int | None = None
-) -> list[tuple[int, ...]]:
-    """Largest pairwise-disjoint subcollection; lex-least witness on ties."""
+def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[int]:
+    """Largest pairwise-disjoint subcollection of the group bitmasks; on
+    ties the witness whose ascending index tuples are lex-least."""
     if not groups:
         return []
-    ordered = sorted(groups)
-    masks = [_index_mask(g) for g in ordered]
-    solver = _PackingSolver(masks)
+    ordered = sorted(groups, key=mask_indices)
+    solver = _PackingSolver(ordered)
     size = _packing_size(solver, upper_hint)
     # Rebuild the witness front to back: take the lex-least group that
     # still allows a packing of the remaining size.
@@ -604,9 +630,9 @@ def max_disjoint_groups(
     if code.n > PACKING_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds packing guard {PACKING_MAX_NODES}")
     cols = code_columns(code)
-    groups = _minimal_groups(cols, target, _checked_size(max_size))
+    groups = _group_table(cols, _checked_size(max_size))[target]
     witness = _max_packing(groups, _projection_bound(cols, target, code.k))
-    return len(witness), [RepairGroup(target, frozenset(g)) for g in witness]
+    return len(witness), [RepairGroup(target, frozenset(mask_indices(g))) for g in witness]
 
 
 def _checked_size(max_size: int) -> int:
@@ -646,9 +672,9 @@ def locality(code: LinearCode) -> int:
     for node in range(code.n):
         gamma = None
         for cap in (2, MAX_GROUP_SIZE):
-            groups = _minimal_groups(cols, node, cap)
+            groups = _group_table(cols, cap)[node]
             if groups:
-                gamma = len(groups[0])
+                gamma = groups[0].bit_count()
                 break
         if gamma is None:
             others = [cols[j] for j in range(code.n) if j != node]
@@ -672,14 +698,12 @@ def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]
     hit each of its pairwise-disjoint groups; the other groups follow in
     (size, indices) order.
     """
-    _checked_size(r)
     out = []
-    for target in range(len(cols)):
+    for groups in _group_table(cols, _checked_size(r)):
         packing: list[int] = []
         rest: list[int] = []
         used = 0
-        for g in _minimal_groups(cols, target, r):
-            mask = _index_mask(g)
+        for mask in groups:
             if mask & used:
                 rest.append(mask)
             else:

@@ -220,24 +220,32 @@ def _decode_recipe(live_sub: BitMatrix) -> list[list[int]] | None:
     return recipe
 
 
+@lru_cache(maxsize=256)
+def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """Per fragment, the live shard indices whose XOR gives it, or None;
+    it depends only on the code and the live set, so it is built once."""
+    recipe = _decode_recipe(_code_for_id(code_id).generator.select_columns(live))
+    if recipe is None:
+        return None
+    return tuple(tuple(live[p] for p in positions) for positions in recipe)
+
+
 def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
     """Recover the exact payload from any correctable shard subset.
 
     Shards that fail their length or checksum test are treated as erased.
     """
     shards = _sound_shards(manifest, available)
-    code = _resolve_code(manifest)
-    live = sorted(shards)
-    live_sub = code.generator.select_columns(live)
-    recipe = _decode_recipe(live_sub)
+    _resolve_code(manifest)
+    recipe = _live_recipe(manifest.code, tuple(sorted(shards)))
     if recipe is None:
-        raise NotCorrectable(f"{len(live)} shards do not span the message space")
+        raise NotCorrectable(f"{len(shards)} shards do not span the message space")
     frag_len = manifest.fragment_length
     out = bytearray()
-    for positions in recipe:
+    for indices in recipe:
         acc = 0
-        for p in positions:
-            acc ^= int.from_bytes(shards[live[p]], "little")
+        for j in indices:
+            acc ^= int.from_bytes(shards[j], "little")
         out += acc.to_bytes(frag_len, "little")
     return bytes(out[: manifest.payload_length])
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -28,12 +29,13 @@ from simplexor.repair import (
     is_correctable,
     is_correctable_via_parity,
     locality,
+    mask_indices,
     max_disjoint_groups,
     parallel_repair_plan,
     _PackingSolver,
     _index_mask,
     _max_packing,
-    _minimal_groups,
+    _group_table,
     _projection_bound,
 )
 
@@ -305,8 +307,49 @@ def columns_with_repeats(draw):
 
 @given(columns_with_repeats(), st.integers(1, 5))
 def test_minimal_groups_match_brute_force_on_random_columns(cols, cap):
+    table = _group_table(cols, cap)
     for target in range(len(cols)):
-        assert list(_minimal_groups(cols, target, cap)) == _brute_force_groups(cols, target, cap)
+        assert [mask_indices(g) for g in table[target]] == _brute_force_groups(cols, target, cap)
+
+
+@st.composite
+def wide_columns(draw):
+    """Columns of a random matrix of 5 to 7 rows and at most 10 columns,
+    with at least one zero column and at least one duplicated column.  The
+    other columns are uniform, and one is the XOR of 5 to 7 of them, so
+    circuits of 6 and 7 columns, split 3 + 3 and 3 + 1 + 3, are common."""
+    k = draw(st.integers(5, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    base = [rng.randrange(1 << k) for _ in range(draw(st.integers(5, 7)))]
+    total = 0
+    for c in base:
+        total ^= c
+    cols = base + [total, rng.choice(base), 0]
+    rng.shuffle(cols)
+    return tuple(cols)
+
+
+@given(wide_columns())
+def test_group_table_matches_brute_force_on_wide_columns(cols):
+    for target in range(len(cols)):
+        expected = _brute_force_groups(cols, target, 6)
+        for cap in range(1, 7):
+            got = [mask_indices(g) for g in _group_table(cols, cap)[target]]
+            assert got == [g for g in expected if len(g) <= cap]
+
+
+def test_group_tables_are_pinned():
+    """sha256 over every node, then every cap, of the repr of the node's
+    groups as ascending helper tuples: a change to the enumerator that
+    adds, drops or reorders a single group shows here."""
+    digest = hashlib.sha256()
+    for code, top in ((simplex_code(4), 6), (c2_code(5), 6), (um_block_code(2, 3), 5),
+                      (um_block_code(3, 3), 5)):
+        for target in range(code.n):
+            for cap in range(1, top + 1):
+                groups = enumerate_repair_groups(code, target, cap)
+                digest.update(repr(tuple(tuple(sorted(g.helpers)) for g in groups)).encode())
+    assert digest.hexdigest() == "5de9d32be807f73ba756f8de477de73da5db25ec58f921d01500ee335eaf8c8d"
 
 
 def test_enumerate_groups_bound_validation():
@@ -385,7 +428,7 @@ _GROUP_LISTS = st.lists(
 def test_max_packing_matches_brute_force(groups):
     families = list(_disjoint_families(sorted(groups)))
     best = max(len(f) for f in families)
-    got = _max_packing(groups)
+    got = [mask_indices(m) for m in _max_packing([_index_mask(g) for g in groups])]
     assert len(got) == best
     assert got == min(f for f in families if len(f) == best)
 
@@ -430,7 +473,7 @@ def test_projection_hint_never_changes_the_packing(code):
     cols = code_columns(code)
     for target in range(0, code.n, 3):
         for cap in (2, 3, 4):
-            groups = _minimal_groups(cols, target, cap)
+            groups = _group_table(cols, cap)[target]
             assert _max_packing(groups) == _max_packing(
                 groups, _projection_bound(cols, target, code.k)
             )
