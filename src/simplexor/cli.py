@@ -244,6 +244,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = parse_code_id(args.code)
+    if args.r < 1:
+        return _usage("--r must be >= 1")
     r_values = tuple(range(1, args.r + 1))
     report = metrics.monte_carlo_repair(
         code,

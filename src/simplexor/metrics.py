@@ -7,6 +7,7 @@ so partitioning work across processes cannot change any verdict or count.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -69,13 +70,6 @@ class DistanceReport:
     codewords_examined: int
 
 
-@dataclass(frozen=True)
-class ColumnDistanceReport:
-    base_k: int
-    distances: tuple[tuple[int, int], ...]  # (j, d_j)
-    d_free_evidence: int
-
-
 def min_distance(code: LinearCode) -> DistanceReport:
     """Exact minimum distance by exhausting all nonzero messages."""
     if code.k > MAX_MESSAGE_DIM:
@@ -121,12 +115,6 @@ def sliding_block_distance(c: ConvCode, s: int) -> int:
     return min_weight_nonzero_rowspan(sliding_generator(c, s), guard=MAX_MESSAGE_DIM)
 
 
-def column_distance_report(c: ConvCode, j_max: int = 3) -> ColumnDistanceReport:
-    distances = tuple((j, column_distance(c, j)) for j in range(j_max + 1))
-    evidence = min(sliding_block_distance(c, s) for s in range(1, 5) if (s + 1) * c.k <= 20)
-    return ColumnDistanceReport(c.k, distances, evidence)
-
-
 # ---------------------------------------------------------------------------
 # Theorem sweeps
 
@@ -134,6 +122,10 @@ def column_distance_report(c: ConvCode, j_max: int = 3) -> ColumnDistanceReport:
 @dataclass(frozen=True)
 class Exhaustive:
     max_erasures: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_erasures is not None and self.max_erasures < 0:
+            raise ValueError("max_erasures must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -299,9 +291,15 @@ def _run_chunk(spec):
 
 
 def _run_chunks(specs, workers: int):
-    if workers <= 1 or len(specs) <= 1:
+    """Chunk results in spec order.  The specs were cut for the requested
+    worker count; the pool starts no more processes than there are specs
+    or cores."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    procs = min(workers, len(specs), os.cpu_count() or 1)
+    if procs <= 1:
         return [_run_chunk(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=procs) as ex:
         return list(ex.map(_run_chunk, specs))
 
 

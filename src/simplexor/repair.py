@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
-from .gf2 import BitMatrix, DimensionMismatch, nullspace, rank_of_rows
+from .gf2 import BitMatrix, DimensionMismatch, reduce_rows
 
 MAX_GROUP_SIZE = 6
 PACKING_MAX_NODES = 96
@@ -44,10 +44,6 @@ class ErasurePattern:
     @classmethod
     def from_erased(cls, n: int, erased: Iterable[int]) -> ErasurePattern:
         return cls(n, frozenset(erased))
-
-    @property
-    def live(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if j not in self.erased)
 
     def erased_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.erased))
@@ -95,9 +91,6 @@ class AvailabilityProfile:
     witnesses: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
     code_level: tuple[tuple[int, int], ...]
 
-    def node_count(self, node: int, r: int) -> int:
-        return self.per_node[node][r - 1]
-
     def code_t(self, r: int) -> int:
         return self.code_level[r - 1][1]
 
@@ -137,18 +130,6 @@ def is_correctable(code: LinearCode, pattern: ErasurePattern) -> bool:
     if pattern.n != code.n:
         raise DimensionMismatch("pattern length does not match code length")
     return full_rank_on_live(code_columns(code), _index_mask(pattern.erased), code.k)
-
-
-def is_correctable_via_parity(
-    code: LinearCode, pattern: ErasurePattern, parity: BitMatrix | None = None
-) -> bool:
-    """Cross-check route: erased parity-check columns are independent."""
-    if pattern.n != code.n:
-        raise DimensionMismatch("pattern length does not match code length")
-    h = parity if parity is not None else nullspace(code.generator)
-    erased = pattern.erased_sorted()
-    sub = h.select_columns(list(erased))
-    return rank_of_rows(sub.columns_bits()) == len(erased)
 
 
 def _scan_easy_helper(
@@ -678,7 +659,8 @@ def locality(code: LinearCode) -> int:
                 break
         if gamma is None:
             others = [cols[j] for j in range(code.n) if j != node]
-            if rank_of_rows(others) == rank_of_rows(others + [cols[node]]):
+            spanned = len(reduce_rows(others[:], code.k))
+            if spanned == len(reduce_rows(others + [cols[node]], code.k)):
                 raise InvalidBound(f"node {node}: no repair group within size {MAX_GROUP_SIZE}")
             raise LocalityUndefined(f"node {node} is independent of all other nodes")
         worst = max(worst, gamma)

@@ -1,0 +1,72 @@
+"""Reference paths that the differential tests compare the library against.
+
+GF(2) vectors are Python ints: bit i is coordinate i.  Matrices are the
+library's BitMatrix.  These routines favour plain linear algebra over
+speed; nothing in ``simplexor`` calls them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from simplexor.codes import LinearCode
+from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows
+
+
+def codeword(generator: BitMatrix, message_bits: int) -> int:
+    """message @ generator: the XOR of the rows that message_bits selects."""
+    acc = 0
+    for i, row in enumerate(generator.row_bits):
+        if (message_bits >> i) & 1:
+            acc ^= row
+    return acc
+
+
+def solve_right(m: BitMatrix, target: int) -> int | None:
+    """Solve u @ m = target for u; None when no solution exists.
+
+    When the solution is not unique, the free variables of the
+    reduced-row-echelon system (leftmost-pivot preference) are set to
+    zero, so the returned u is deterministic.
+    """
+    if target >> m.cols:
+        raise DimensionMismatch("target has bits beyond the column count")
+    k = m.rows
+    # Row j of the transposed system is column j of m, augmented with the
+    # target bit at position k.
+    aug = [m.column_bits(j) | (((target >> j) & 1) << k) for j in range(m.cols)]
+    pivots = reduce_rows(aug, k)
+    if any(aug[len(pivots):]):
+        return None
+    x = 0
+    for i, c in enumerate(pivots):
+        if (aug[i] >> k) & 1:
+            x |= 1 << c
+    return x
+
+
+def nullspace(m: BitMatrix) -> BitMatrix:
+    """Basis of the right kernel {x : m @ x^T = 0}, one vector per row."""
+    n = m.cols
+    work = list(m.row_bits)
+    pivot_cols = reduce_rows(work, n)
+    pivset = set(pivot_cols)
+    basis = []
+    for c in range(n):
+        if c in pivset:
+            continue
+        v = 1 << c
+        for i, pc in enumerate(pivot_cols):
+            if (work[i] >> c) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return BitMatrix(len(basis), n, tuple(basis))
+
+
+def is_correctable_via_parity(
+    code: LinearCode, erased: Iterable[int], parity: BitMatrix | None = None
+) -> bool:
+    """Cross-check route: the erased parity-check columns are independent."""
+    h = parity if parity is not None else nullspace(code.generator)
+    sub = h.select_columns(sorted(erased))
+    return rank(BitMatrix(sub.cols, sub.rows, sub.columns_bits())) == sub.cols

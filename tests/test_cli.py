@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -256,6 +257,76 @@ def test_sampling_without_trials_is_usage_error(capsys, args):
     assert status == 2
     assert "trials must be >= 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--code", "simplex:3", "--exhaustive", "--max-erasures", "-1"],
+        ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
+         "--max-erasures", "2", "--r", "0"],
+        ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
+         "--max-erasures", "2", "--r", "-1"],
+    ],
+    ids=["verify-max-erasures-minus-1", "simulate-r0", "simulate-r-minus-1"],
+)
+def test_vacuous_verdict_is_usage_error(capsys, args):
+    status, out, err = run(capsys, *args)
+    assert status == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_max_erasures_above_n_stays_clamped(capsys):
+    args = ["verify", "--code", "simplex:3", "--exhaustive"]
+    _, full, _ = run(capsys, *args)
+    status, capped, _ = run(capsys, *args, "--max-erasures", "99")
+    assert status == 0
+    assert capped.replace(" <=99 erasures", "") == full
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--code", "simplex:3", "--exhaustive"],
+        ["verify", "--code", "simplex:3", "--seed", "1", "--trials", "10"],
+        ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
+         "--max-erasures", "2"],
+    ],
+    ids=["verify-exhaustive", "verify-sampled", "simulate"],
+)
+def test_workers_below_one_is_usage_error(capsys, args, workers):
+    status, out, err = run(capsys, *args, "--workers", workers)
+    assert status == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+# sha256 of each command's stdout: a refactor must leave every byte unchanged
+PINNED_OUTPUTS = {
+    "gen --code simplex:3":
+        "f5ef48c1f2435942efd84c593d059eff25cf93faa47726aab8a6b2f25277eb8c",
+    "gen --code um:2:1":
+        "c45634f305a11c16835db23af450e5af6a11de40d86abaed28c589720e87e73d",
+    "plan --code simplex:3 --erased 0,1,3,5":
+        "46ffd2701877869911319cf07fe3f4bb7fee73d4b16ab4d1f840a4bc1c5dbc10",
+    "simulate --code simplex:3 --trials 10000 --seed 7 --max-erasures 3":
+        "54f5146e008b4c719d34b5cd515083b1262297740dc6295fd357cdda4c25e0f5",
+    "availability --code c2:3 --r 3":
+        "1ea5f2d01505cb16c2f7f5195b12acb70756b190018b94b312983c8beacc8676",
+    "verify --code um:2:3 --r 5 --max-erasures 5 --exhaustive":
+        "a9992f0b9cd7f017a737f5ca32d883e1e42d551e5a821e32cf035c8a08c3f6a3",
+    "table --k 4":
+        "b480c2ae6a48e206a98f35878f45c2cba23e172a90d3d3f7cefd9a21bf135548",
+}
+
+
+def test_cli_outputs_are_pinned(capsys):
+    for command, digest in PINNED_OUTPUTS.items():
+        status, out, _ = run(capsys, *command.split())
+        assert status == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_simulate_requires_seed():

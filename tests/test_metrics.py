@@ -24,7 +24,6 @@ from simplexor.metrics import (
     FixedErasures,
     Sampled,
     column_distance,
-    column_distance_report,
     comparison_table,
     min_distance,
     monte_carlo_repair,
@@ -113,12 +112,12 @@ def test_sliding_block_distance_base3(s):
     assert sliding_block_distance(um_simplex(3), s) == 12
 
 
-def test_column_distance_report_shape():
-    report = column_distance_report(um_simplex(2))
-    ds = [d for _, d in report.distances]
+def test_column_distances_are_nondecreasing():
+    conv = um_simplex(2)
+    ds = [column_distance(conv, j) for j in range(4)]
     assert ds == sorted(ds)
     assert ds[1] == ds[2] == ds[3] == 6
-    assert report.d_free_evidence == 6
+    assert min(sliding_block_distance(conv, s) for s in range(1, 5)) == 6
 
 
 @pytest.mark.parametrize("k", range(2, 6))
@@ -187,6 +186,45 @@ def test_verify_parallel_workers_match():
     solo = verify_parallel_capacity(code, 3, 3, Exhaustive(), workers=1)
     multi = verify_parallel_capacity(code, 3, 3, Exhaustive(), workers=3)
     assert solo == multi
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the process count asked
+    for and runs the chunks in this process, starting nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_starts_at_most_one_process_per_chunk_and_core(monkeypatch):
+    code = simplex_code(3)
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+    sampled = verify_easy_repair_property(code, Sampled(seed=5, trials=200), workers=4000)
+    assert _PoolRecorder.sizes == [3]
+    assert sampled == verify_easy_repair_property(code, Sampled(seed=5, trials=200))
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 64)
+    # seven 1-erasure patterns: seven chunks, one process each
+    par = verify_parallel_capacity(code, 2, 1, Exhaustive(), workers=4000)
+    assert _PoolRecorder.sizes == [3, 7]
+    assert par == verify_parallel_capacity(code, 2, 1, Exhaustive())
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
+    assert verify_easy_repair_property(code, Exhaustive(), workers=8).verdict
+    assert _PoolRecorder.sizes == [3, 7]
+    with pytest.raises(ValueError, match="workers"):
+        verify_easy_repair_property(code, Exhaustive(), workers=0)
 
 
 def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import codeword, is_correctable_via_parity
 from simplexor.codes import (
     LinearCode,
     c1_code,
@@ -13,7 +14,7 @@ from simplexor.codes import (
     simplex_parity_check,
     um_block_code,
 )
-from simplexor.gf2 import BitMatrix, BitVector
+from simplexor.gf2 import BitMatrix
 from simplexor.repair import (
     ErasurePattern,
     InvalidBound,
@@ -27,7 +28,6 @@ from simplexor.repair import (
     enumerate_repair_groups,
     format_plan,
     is_correctable,
-    is_correctable_via_parity,
     locality,
     mask_indices,
     max_disjoint_groups,
@@ -56,9 +56,8 @@ def _custom_code(rows, family="custom", code_id="custom"):
 NO_EASY_ROWS = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 
-def test_pattern_validation_and_live():
-    p = ErasurePattern.from_erased(7, [0, 3])
-    assert p.live == (1, 2, 4, 5, 6)
+def test_pattern_validation():
+    p = ErasurePattern.from_erased(7, [3, 0])
     assert p.erased_sorted() == (0, 3)
     with pytest.raises(Exception):
         ErasurePattern.from_erased(3, [5])
@@ -83,15 +82,14 @@ def test_correctability_criteria_agree_exhaustively(code):
         erased = frozenset(j for j in range(code.n) if (mask >> j) & 1)
         pattern = ErasurePattern(code.n, erased)
         via_g = is_correctable(code, pattern)
-        via_h = is_correctable_via_parity(code, pattern, parity)
+        via_h = is_correctable_via_parity(code, erased, parity)
         assert via_g == via_h
         # unique decode: no two distinct messages agree on the live nodes
-        live = pattern.live
+        live_mask = ((1 << code.n) - 1) & ~mask
         seen = set()
         ambiguous = False
         for ubits in range(1 << code.k):
-            c = g.mul_vec(BitVector(code.k, ubits))
-            key = tuple(c.bit(j) for j in live)
+            key = codeword(g, ubits) & live_mask
             if key in seen:
                 ambiguous = True
                 break
@@ -138,7 +136,8 @@ def _assert_replay_recovers(code, plan, erased):
     g = code.generator
     rng = random.Random(13)
     for _ in range(10):
-        c = list(g.mul_vec(BitVector(code.k, rng.getrandbits(code.k))))
+        word = codeword(g, rng.getrandbits(code.k))
+        c = [(word >> j) & 1 for j in range(code.n)]
         have = {j: c[j] for j in range(code.n) if j not in erased}
         for step in plan.steps:
             assert step.target not in have
@@ -508,7 +507,7 @@ def test_availability_interior_um_node():
     code = um_block_code(2, 2)
     profile = availability_profile(code, 2)
     # a first-half node in time block 1 sits at index n_block + j
-    assert profile.node_count(6, 2) == 2
+    assert profile.per_node[6][2 - 1] == 2
 
 
 def test_locality_of_the_easy_repair_families():
@@ -545,7 +544,7 @@ def test_parity_route_agrees_on_stream_code():
     for e in range(5):
         for erased in itertools.combinations(range(code.n), e):
             pattern = _pattern(code, erased)
-            assert is_correctable(code, pattern) == is_correctable_via_parity(code, pattern)
+            assert is_correctable(code, pattern) == is_correctable_via_parity(code, erased)
 
 
 def test_format_plan_golden():
