@@ -15,7 +15,7 @@ from pathlib import Path
 from . import metrics, storage
 from .codes import InvalidCodeId, parse_code_id
 from .gf2 import TooLarge, format_matrix
-from .metrics import Exhaustive, FixedErasures, Sampled
+from .metrics import Exhaustive, Sampled
 from .repair import (
     ErasurePattern,
     RepairFailure,
@@ -195,16 +195,20 @@ def _cmd_availability(args) -> int:
 
 def _cmd_distance(args) -> int:
     code = parse_code_id(args.code)
-    print(metrics.min_distance(code).d)
+    print(metrics.min_distance(code))
     return 0
 
 
 def _cmd_verify(args) -> int:
     code = parse_code_id(args.code)
-    sampled = args.trials is not None or (args.seed is not None and not args.exhaustive)
+    sampled = args.seed is not None or args.trials is not None
     if sampled:
+        if args.exhaustive:
+            return _usage("--exhaustive takes no --seed or --trials")
         if args.seed is None or args.trials is None:
             return _usage("sampled verification requires both --seed and --trials")
+        if args.r is None and args.max_erasures is not None:
+            return _usage("sampled easy-repair verification takes no --max-erasures")
         mode = Sampled(args.seed, args.trials)
     elif args.exhaustive:
         mode = Exhaustive(args.max_erasures if args.r is None else None)
@@ -250,7 +254,7 @@ def _cmd_simulate(args) -> int:
     report = metrics.monte_carlo_repair(
         code,
         args.trials,
-        FixedErasures(args.max_erasures),
+        args.max_erasures,
         args.seed,
         r_values=r_values,
         workers=args.workers,

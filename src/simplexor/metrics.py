@@ -62,20 +62,11 @@ def trial_seed(master_seed: int, index: int) -> int:
 # Distances
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    code_id: str
-    d: int
-    method: str
-    codewords_examined: int
-
-
-def min_distance(code: LinearCode) -> DistanceReport:
+def min_distance(code: LinearCode) -> int:
     """Exact minimum distance by exhausting all nonzero messages."""
     if code.k > MAX_MESSAGE_DIM:
         raise TooLarge(f"k={code.k} exceeds the {MAX_MESSAGE_DIM}-message-bit guard")
-    d = min_weight_nonzero_rowspan(code.generator, guard=MAX_MESSAGE_DIM)
-    return DistanceReport(code.code_id, d, "exhaustive", (1 << code.k) - 1)
+    return min_weight_nonzero_rowspan(code.generator, guard=MAX_MESSAGE_DIM)
 
 
 def column_distance(c: ConvCode, j: int) -> int:
@@ -158,9 +149,8 @@ def _merge_counts(parts, least: bool = False):
     return examined, correctable, repaired, None if ce is None else mask_indices(ce)
 
 
-# Pattern sources: each yields (erasure bitmask, ascending erased indices)
-# for one chunk.  Sources that draw whole masks leave the indices None:
-# their patterns go only to the easy-repair check, which needs the mask.
+# Pattern sources of the parallel checks and the simulation: each yields
+# (erasure bitmask, ascending erased indices) for one chunk.
 
 
 def _subsets(n, e, lo, hi):
@@ -173,30 +163,10 @@ def _subsets(n, e, lo, hi):
         yield mask, erased
 
 
-def _sampled_masks(n, seed, lo, hi):
-    for i in range(lo, hi):
-        yield random.Random(trial_seed(seed, i)).getrandbits(n), None
-
-
 def _sampled_subsets(n, e, seed, lo, hi):
     for i in range(lo, hi):
         erased = tuple(sorted(random.Random(trial_seed(seed, i)).sample(range(n), e)))
         yield sum(1 << j for j in erased), erased
-
-
-def _bernoulli_subsets(n, prob, seed, lo, hi):
-    for i in range(lo, hi):
-        rng = random.Random(trial_seed(seed, i))
-        erased = tuple(j for j in range(n) if rng.random() < prob)
-        yield sum(1 << j for j in erased), erased
-
-
-_SOURCES = {
-    "subsets": _subsets,
-    "sampled_masks": _sampled_masks,
-    "sampled_subsets": _sampled_subsets,
-    "bernoulli": _bernoulli_subsets,
-}
 
 
 def _parallel_ok(tables, erased_mask, erased) -> bool:
@@ -210,7 +180,7 @@ def _parallel_ok(tables, erased_mask, erased) -> bool:
     return True
 
 
-def _easy_verdict(cols, k, mask, erased=None):
+def _easy_verdict(cols, k, mask):
     """None for an uncorrectable pattern, else whether easy repair recovers it."""
     if not full_rank_on_live(cols, mask, k):
         return None
@@ -259,21 +229,13 @@ def _walk(cols, k, pairs, e, lo, hi):
             d -= 1
 
 
-def _sweep_chunk(cols, k, table, source, args):
-    """Tally one chunk: easy repair of every correctable pattern of the walk
-    (table: its size-2 table) or of sampled masks (table None), else
-    parallel repair of every pattern with table.  Returns the counts and
-    the first and the least failing mask."""
-    if source == "walk":  # (mask, verdict) pairs
-        patterns, verdict = _walk(cols, k, table, *args), None
-    else:  # (mask, erased) pairs
-        patterns = _SOURCES[source](len(cols), *args)
-        verdict = partial(_easy_verdict, cols, k) if table is None else partial(_parallel_ok, table)
+def _tally(pairs):
+    """Count (mask, verdict) pairs, verdict None for an uncorrectable
+    pattern.  Returns the counts and the first and the least failing mask."""
     examined = correctable = repaired = 0
     first = least = None
-    for mask, item in patterns:
+    for mask, ok in pairs:
         examined += 1
-        ok = item if verdict is None else verdict(mask, item)
         if ok is None:
             continue
         correctable += 1
@@ -286,21 +248,39 @@ def _sweep_chunk(cols, k, table, source, args):
     return examined, correctable, repaired, first, least
 
 
-def _run_chunk(spec):
-    return _CHUNK_RUNNERS[spec[0]](*spec[1:])
+def _walk_chunk(cols, k, pairs, e, lo, hi):
+    """Easy repair of the e-subsets of lex rank in [lo, hi), by the walk."""
+    return _tally(_walk(cols, k, pairs, e, lo, hi))
 
 
-def _run_chunks(specs, workers: int):
-    """Chunk results in spec order.  The specs were cut for the requested
-    worker count; the pool starts no more processes than there are specs
+def _sampled_chunk(cols, k, seed, lo, hi):
+    """Easy repair of the mask drawn for each trial index in [lo, hi)."""
+    n = len(cols)
+    masks = (random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi))
+    return _tally((mask, _easy_verdict(cols, k, mask)) for mask in masks)
+
+
+def _parallel_chunk(table, source, *args):
+    """Parallel repair with table of every pattern of source(*args)."""
+    return _tally((mask, _parallel_ok(table, mask, erased)) for mask, erased in source(*args))
+
+
+def _call(chunk):
+    """Run one chunk: a partial of a top-level ``_*_chunk``, so it pickles."""
+    return chunk()
+
+
+def _run_chunks(chunks, workers: int):
+    """Chunk results in chunk order.  The chunks were cut for the requested
+    worker count; the pool starts no more processes than there are chunks
     or cores."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    procs = min(workers, len(specs), os.cpu_count() or 1)
+    procs = min(workers, len(chunks), os.cpu_count() or 1)
     if procs <= 1:
-        return [_run_chunk(s) for s in specs]
+        return [chunk() for chunk in chunks]
     with ProcessPoolExecutor(max_workers=procs) as ex:
-        return list(ex.map(_run_chunk, specs))
+        return list(ex.map(_call, chunks))
 
 
 def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -324,17 +304,17 @@ def verify_easy_repair_property(
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"{total} patterns exceeds the sweep guard")
         pairs = parallel_table(cols, 2)
-        specs = [("sweep", cols, k, pairs, "walk", (e, lo, hi))
-                 for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
+        chunks = [partial(_walk_chunk, cols, k, pairs, e, lo, hi)
+                  for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
         checked = "easy-repair exhaustive"
         if mode.max_erasures is not None:
             checked += f" <={mode.max_erasures} erasures"
     else:
-        specs = [("sweep", cols, k, None, "sampled_masks", (mode.seed, lo, hi))
-                 for lo, hi in _ranges(mode.trials, workers * 4)]
+        chunks = [partial(_sampled_chunk, cols, k, mode.seed, lo, hi)
+                  for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
     least = isinstance(mode, Exhaustive) and mode.max_erasures is None
-    examined, correctable, repaired, ce = _merge_counts(_run_chunks(specs, workers), least)
+    examined, correctable, repaired, ce = _merge_counts(_run_chunks(chunks, workers), least)
     return VerifyReport(code.code_id, checked, ce is None, examined, correctable, repaired, ce)
 
 
@@ -350,14 +330,14 @@ def verify_parallel_capacity(
         raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
     table = parallel_table(cols, r)
     if isinstance(mode, Exhaustive):
-        specs = [("sweep", cols, code.k, table, "subsets", (e, lo, hi))
-                 for lo, hi in _ranges(comb(n, e), workers)]
+        chunks = [partial(_parallel_chunk, table, _subsets, n, e, lo, hi)
+                  for lo, hi in _ranges(comb(n, e), workers)]
         checked = f"parallel r={r} e={e} exhaustive"
     else:
-        specs = [("sweep", cols, code.k, table, "sampled_subsets", (e, mode.seed, lo, hi))
-                 for lo, hi in _ranges(mode.trials, workers * 4)]
+        chunks = [partial(_parallel_chunk, table, _sampled_subsets, n, e, mode.seed, lo, hi)
+                  for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
-    examined, _, repaired, ce = _merge_counts(_run_chunks(specs, workers))
+    examined, _, repaired, ce = _merge_counts(_run_chunks(chunks, workers))
     return VerifyReport(code.code_id, checked, ce is None, examined, examined, repaired, ce)
 
 
@@ -388,7 +368,7 @@ def comparison_table(k: int) -> list[ComparisonRow]:
 
     def add(code: LinearCode, code_id: str | None = None) -> None:
         rank_ = _FAMILY_RANK[code.family]
-        d = min_distance(code).d
+        d = min_distance(code)
         row = ComparisonRow(code_id or code.code_id, code.n, d, Fraction(d, code.n))
         entries.append(((-row.n, -row.d, rank_, code.x or 0), row))
 
@@ -475,16 +455,6 @@ def um_census(base_k: int, s: int, time_index: int, caps=(2, 3, 4, 5)) -> UmCens
 
 
 @dataclass(frozen=True)
-class FixedErasures:
-    count: int
-
-
-@dataclass(frozen=True)
-class BernoulliErasures:
-    prob: float
-
-
-@dataclass(frozen=True)
 class SimulationReport:
     code_id: str
     trials: int
@@ -496,77 +466,52 @@ class SimulationReport:
     mean_xors_per_repaired_node: float
 
 
-def _sim_chunk(cols, k, tables, source, args):
-    """Tally one chunk of trials; tables holds one parallel table per r."""
-    hist: dict[int, int] = {}
-    trials = correctable = easy_ok = 0
-    par_ok = [0] * len(tables)
-    xor_total = nodes_total = 0
-    for emask, erased in _SOURCES[source](len(cols), *args):
-        trials += 1
-        hist[len(erased)] = hist.get(len(erased), 0) + 1
+def _sim_chunk(cols, k, tables, e, seed, lo, hi):
+    """Counts over trials [lo, hi): correctable, easy-repaired, XORs and
+    nodes of the easy repairs, then parallel repairs per table (one per r)."""
+    counts = [0] * (4 + len(tables))
+    for emask, erased in _sampled_subsets(len(cols), e, seed, lo, hi):
         if full_rank_on_live(cols, emask, k):
-            correctable += 1
+            counts[0] += 1
             steps, remaining = easy_steps(cols, list(erased))
             if not remaining:
-                easy_ok += 1
-                nodes_total += len(steps)
-                xor_total += sum(len(h) - 1 for _, h in steps)
-        for i, table in enumerate(tables):
+                counts[1] += 1
+                counts[2] += sum(len(h) - 1 for _, h in steps)
+                counts[3] += len(steps)
+        for i, table in enumerate(tables, 4):
             if _parallel_ok(table, emask, erased):
-                par_ok[i] += 1
-    return (trials, tuple(sorted(hist.items())), correctable, easy_ok,
-            tuple(par_ok), xor_total, nodes_total)
-
-
-_CHUNK_RUNNERS = {"sweep": _sweep_chunk, "sim": _sim_chunk}
+                counts[i] += 1
+    return counts
 
 
 def monte_carlo_repair(
     code: LinearCode,
     trials: int,
-    model: FixedErasures | BernoulliErasures,
+    erasures: int,
     seed: int,
     r_values: tuple[int, ...] = (2,),
     workers: int = 1,
 ) -> SimulationReport:
-    """Seeded repair statistics; identical output for identical arguments."""
+    """Seeded repair statistics over trials of exactly erasures erased nodes;
+    identical output for identical arguments."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= erasures <= code.n:
+        raise ValueError("erasure count out of range")
     cols = code_columns(code)
-    if isinstance(model, FixedErasures):
-        source, arg = "sampled_subsets", model.count
-        if not 0 <= model.count <= code.n:
-            raise ValueError("erasure count out of range")
-    else:
-        source, arg = "bernoulli", model.prob
     tables = tuple(parallel_table(cols, r) for r in r_values)
-    specs = [
-        ("sim", cols, code.k, tables, source, (arg, seed, lo, hi))
-        for lo, hi in _ranges(trials, workers * 4)
-    ]
-    parts = _run_chunks(specs, workers)
-    hist: dict[int, int] = {}
-    total = correctable = easy_ok = xor_total = nodes_total = 0
-    par_ok = [0] * len(r_values)
-    for cnt, h, co, eo, po, xt, nt in parts:
-        total += cnt
-        for e, c in h:
-            hist[e] = hist.get(e, 0) + c
-        correctable += co
-        easy_ok += eo
-        for i, v in enumerate(po):
-            par_ok[i] += v
-        xor_total += xt
-        nodes_total += nt
+    chunks = [partial(_sim_chunk, cols, code.k, tables, erasures, seed, lo, hi)
+              for lo, hi in _ranges(trials, workers * 4)]
+    correctable, easy_ok, xor_total, nodes_total, *par_ok = map(
+        sum, zip(*_run_chunks(chunks, workers)))
     return SimulationReport(
         code_id=code.code_id,
-        trials=total,
+        trials=trials,
         seed=seed,
-        erasure_histogram=tuple(sorted(hist.items())),
-        fraction_correctable=correctable / total,
-        fraction_easy_repaired=easy_ok / total,
-        parallel_fractions=tuple((r, par_ok[i] / total) for i, r in enumerate(r_values)),
+        erasure_histogram=((erasures, trials),),
+        fraction_correctable=correctable / trials,
+        fraction_easy_repaired=easy_ok / trials,
+        parallel_fractions=tuple((r, ok / trials) for r, ok in zip(r_values, par_ok)),
         mean_xors_per_repaired_node=(xor_total / nodes_total) if nodes_total else 0.0,
     )
 

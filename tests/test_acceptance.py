@@ -48,12 +48,12 @@ def test_criterion_1_bit_exact_construction(capsys):
 def test_criterion_2_block_distances():
     with criterion(2, "exact minimum distances of the block families", 10.0):
         for k in range(2, 7):
-            assert metrics.min_distance(simplex_code(k)).d == 1 << (k - 1)
+            assert metrics.min_distance(simplex_code(k)) == 1 << (k - 1)
         for k in range(2, 7):
-            assert metrics.min_distance(c1_code(k)).d == k
+            assert metrics.min_distance(c1_code(k)) == k
         for k in range(2, 9):
-            assert metrics.min_distance(c2_code(k)).d == 3
-        assert metrics.min_distance(parse_code_id("um2p4")).d == 4
+            assert metrics.min_distance(c2_code(k)) == 3
+        assert metrics.min_distance(parse_code_id("um2p4")) == 4
 
 
 def test_criterion_3_column_distances():

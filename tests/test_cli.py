@@ -267,8 +267,13 @@ def test_sampling_without_trials_is_usage_error(capsys, args):
          "--max-erasures", "2", "--r", "0"],
         ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
          "--max-erasures", "2", "--r", "-1"],
+        # flags the chosen mode would drop without a word
+        ["verify", "--code", "simplex:3", "--exhaustive", "--seed", "1", "--trials", "10"],
+        ["verify", "--code", "simplex:3", "--seed", "1", "--trials", "10", "--max-erasures", "2"],
+        ["verify", "--code", "simplex:3", "--exhaustive", "--seed", "1"],
     ],
-    ids=["verify-max-erasures-minus-1", "simulate-r0", "simulate-r-minus-1"],
+    ids=["verify-max-erasures-minus-1", "simulate-r0", "simulate-r-minus-1",
+         "verify-exhaustive-sampled", "verify-sampled-capped", "verify-exhaustive-seed"],
 )
 def test_vacuous_verdict_is_usage_error(capsys, args):
     status, out, err = run(capsys, *args)
@@ -319,6 +324,13 @@ PINNED_OUTPUTS = {
         "a9992f0b9cd7f017a737f5ca32d883e1e42d551e5a821e32cf035c8a08c3f6a3",
     "table --k 4":
         "b480c2ae6a48e206a98f35878f45c2cba23e172a90d3d3f7cefd9a21bf135548",
+    # sampled sweeps and a simulation whose fractions are not all 1
+    "verify --code um:2:2 --seed 7 --trials 2000":
+        "62087c90fdef48cd0312e370dd26555706671caf98bac02baf430ae9fa2072f7",
+    "verify --code um:3:3 --r 3 --max-erasures 7 --seed 5 --trials 500":
+        "40711231229218ec55a97a2c982c57b25b023a25d5ea1ccd69c7461d22d990bb",
+    "simulate --code um:2:1 --trials 2000 --seed 11 --max-erasures 10 --r 3":
+        "03c6bd26261d6d28a7110e2a97d5407a793f0ac2332132bf1d796f40bfbc40f2",
 }
 
 

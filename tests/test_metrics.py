@@ -19,9 +19,7 @@ from simplexor.codes import (
 )
 from simplexor.gf2 import BitMatrix, TooLarge
 from simplexor.metrics import (
-    BernoulliErasures,
     Exhaustive,
-    FixedErasures,
     Sampled,
     column_distance,
     comparison_table,
@@ -45,17 +43,17 @@ from simplexor.repair import (
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_simplex_distance(k):
-    assert min_distance(simplex_code(k)).d == 1 << (k - 1)
+    assert min_distance(simplex_code(k)) == 1 << (k - 1)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_weight2_code_distance(k):
-    assert min_distance(c1_code(k)).d == k
+    assert min_distance(c1_code(k)) == k
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_chain_code_distance(k):
-    assert min_distance(c2_code(k)).d == 3
+    assert min_distance(c2_code(k)) == 3
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -67,7 +65,7 @@ def test_weight2_rowspan_minimum_weight(k):
 
 
 def test_um2prime_distance():
-    assert min_distance(um2prime_code()).d == 4
+    assert min_distance(um2prime_code()) == 4
 
 
 def test_distance_guard():
@@ -82,7 +80,7 @@ def test_distance_guard():
     ids=lambda c: c.code_id,
 )
 def test_singleton_style_bound(code):
-    d = min_distance(code).d
+    d = min_distance(code)
     r = locality(code)
     assert code.n - code.k + 1 - d >= (code.k - 1) // r
 
@@ -123,12 +121,12 @@ def test_column_distances_are_nondecreasing():
 @pytest.mark.parametrize("k", range(2, 6))
 def test_simplex_erasure_capability_matches_distance(k):
     code = simplex_code(k)
-    assert min_distance(code).d - 1 == (code.n - 1) // 2
+    assert min_distance(code) - 1 == (code.n - 1) // 2
 
 
 def test_block_diagonal_repeat_keeps_distance():
-    assert min_distance(c0_repeat_code(6, 2)).d == min_distance(simplex_code(3)).d
-    assert min_distance(c1_repeat_code(6, 2)).d == min_distance(c1_code(3)).d
+    assert min_distance(c0_repeat_code(6, 2)) == min_distance(simplex_code(3))
+    assert min_distance(c1_repeat_code(6, 2)) == min_distance(c1_code(3))
 
 
 def test_verify_easy_repair_simplex4_exhaustive():
@@ -241,8 +239,9 @@ def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
     verify_parallel_capacity(code, 2, 6, Exhaustive(), workers=2)
     verify_easy_repair_property(code, Exhaustive(max_erasures=6), workers=2)
     for chunks in (specs[:2], specs[-2:]):
-        assert [spec[-1][0] for spec in chunks] == [6, 6]
-        parts = [[erased for _, erased in metrics._subsets(code.n, *spec[-1])] for spec in chunks]
+        assert [chunk.args[-3] for chunk in chunks] == [6, 6]
+        parts = [[erased for _, erased in metrics._subsets(code.n, *chunk.args[-3:])]
+                 for chunk in chunks]
         assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
         assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
 
@@ -374,7 +373,7 @@ def _correctable_counts(code):
 def test_walk_counts_match_the_critical_theorem(code):
     cols = code_columns(code)
     pairs = parallel_table(cols, 2)
-    per_e = [metrics._sweep_chunk(cols, code.k, pairs, "walk", (e, 0, comb(code.n, e)))[1]
+    per_e = [metrics._walk_chunk(cols, code.k, pairs, e, 0, comb(code.n, e))[1]
              for e in range(code.n + 1)]
     assert per_e == _correctable_counts(code)
     assert verify_easy_repair_property(code, Exhaustive()).correctable == sum(per_e)
@@ -392,7 +391,7 @@ def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     table = metrics.parallel_table
     monkeypatch.setattr(metrics, "parallel_table", lambda cols, r: built.append(r) or table(cols, r))
     verify_parallel_capacity(code, 3, 4, Sampled(seed=1, trials=200))
-    monte_carlo_repair(code, 200, FixedErasures(4), seed=1, r_values=(2, 3))
+    monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
     verify_easy_repair_property(code, Exhaustive(max_erasures=4))
     assert built == [3, 2, 3, 2]
 
@@ -403,7 +402,7 @@ def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     with pytest.raises(InvalidBound):
         verify_parallel_capacity(code, 7, 2, Sampled(seed=1, trials=10), workers=2)
     with pytest.raises(InvalidBound):
-        monte_carlo_repair(code, 10, FixedErasures(2), seed=1, r_values=(0,), workers=2)
+        monte_carlo_repair(code, 10, 2, seed=1, r_values=(0,), workers=2)
 
 
 K4_TABLE = [
@@ -458,7 +457,7 @@ def test_um_census_base2_meets_every_claim():
 
 
 def test_monte_carlo_within_capability():
-    report = monte_carlo_repair(simplex_code(3), 300, FixedErasures(3), seed=1)
+    report = monte_carlo_repair(simplex_code(3), 300, 3, seed=1)
     assert report.fraction_correctable == 1.0
     assert report.fraction_easy_repaired == 1.0
     assert dict(report.parallel_fractions)[2] == 1.0
@@ -466,7 +465,7 @@ def test_monte_carlo_within_capability():
 
 
 def test_monte_carlo_zero_erasures():
-    report = monte_carlo_repair(simplex_code(3), 50, FixedErasures(0), seed=1)
+    report = monte_carlo_repair(simplex_code(3), 50, 0, seed=1)
     assert report.fraction_correctable == 1.0
     assert report.fraction_easy_repaired == 1.0
     assert report.mean_xors_per_repaired_node == 0.0
@@ -474,7 +473,7 @@ def test_monte_carlo_zero_erasures():
 
 def test_monte_carlo_deterministic_and_worker_independent():
     code = c2_code(4)
-    kwargs = dict(trials=400, model=BernoulliErasures(0.3), seed=77, r_values=(2, 3))
+    kwargs = dict(trials=400, erasures=3, seed=77, r_values=(2, 3))
     a = monte_carlo_repair(code, **kwargs)
     b = monte_carlo_repair(code, **kwargs)
     c = monte_carlo_repair(code, workers=4, **kwargs)
@@ -487,8 +486,9 @@ def test_monte_carlo_deterministic_and_worker_independent():
     ids=lambda c: c.code_id,
 )
 def test_monte_carlo_easy_fraction_equals_correctable_fraction(code):
-    report = monte_carlo_repair(code, 500, BernoulliErasures(0.4), seed=5)
-    assert report.fraction_easy_repaired == report.fraction_correctable
+    for e in range(code.n + 1):
+        report = monte_carlo_repair(code, 500, e, seed=5)
+        assert report.fraction_easy_repaired == report.fraction_correctable
 
 
 def test_trial_seed_is_stable_and_spread():
