@@ -133,6 +133,8 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     manifest = storage.read_manifest(args.dir)
     erased = _parse_csv_indices(args.erased)
+    if not all(0 <= i < manifest.n for i in erased):
+        raise storage.StorageError("erased index out of range")
     shards = storage.read_available_shards(args.dir, manifest, exclude=erased)
     try:
         payload = storage.decode_object(manifest, shards)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .codes import LinearCode, parse_code_id
-from .gf2 import BitMatrix, reduce_rows
+from .gf2 import reduce_rows
 from .repair import (
     ErasurePattern,
     RepairFailure,
@@ -124,49 +124,63 @@ def manifest_from_json(text: str) -> ShardManifest:
     return m
 
 
-def _split_fragments(payload: bytes, count: int) -> tuple[list[int], int]:
-    frag_len = -(-len(payload) // count)
-    padded = payload.ljust(count * frag_len, b"\x00")
-    frags = [
-        int.from_bytes(padded[i * frag_len : (i + 1) * frag_len], "little")
-        for i in range(count)
-    ]
-    return frags, frag_len
+def _run_xor_steps(
+    pool: dict[int, bytes], steps: list[tuple[int, tuple[int, ...]]], length: int
+) -> None:
+    """For each (target, sources) step in order, set pool[target] to the XOR
+    of the sources' ``length``-byte strings.  Each source becomes an int at
+    most once, kept only until the last step that reads it; one source
+    passes through as bytes and none gives zero bytes."""
+    last_read = {s: t for t, (_, sources) in enumerate(steps) for s in sources}
+    ints: dict[int, int] = {}
+    for t, (target, sources) in enumerate(steps):
+        if len(sources) < 2:
+            pool[target] = pool[sources[0]] if sources else bytes(length)
+            continue
+        acc = value = None
+        for s in sources:
+            value = ints.pop(s, None)
+            if value is None:
+                value = int.from_bytes(pool[s], "little")
+            if last_read[s] > t:
+                ints[s] = value
+            acc = value if acc is None else acc ^ value
+        value = None  # a dropped source's int is freed before to_bytes allocates
+        pool[target] = acc.to_bytes(length, "little")
+        if last_read.get(target, -1) > t:
+            ints[target] = acc
 
 
-def _encode(generator: BitMatrix, code_id: str, k: int, s: int | None, payload: bytes):
+def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
+    """Split the payload into zero-padded fragments, one per generator row,
+    and emit one shard per node: the XOR of the fragments in its column."""
     if not payload:
         raise EmptyPayload("payload must be nonempty")
-    frags, frag_len = _split_fragments(payload, generator.rows)
-    shards = []
-    for j in range(generator.cols):
-        colbits = generator.column_bits(j)
-        acc = 0
-        i = 0
-        while colbits:
-            if colbits & 1:
-                acc ^= frags[i]
-            colbits >>= 1
-            i += 1
-        shards.append(Shard(j, acc.to_bytes(frag_len, "little")))
+    n, count = code.generator.cols, code.generator.rows
+    frag_len = -(-len(payload) // count)
+    # fragment i sits at key n + i, after the shard keys 0..n-1
+    pool = {
+        n + i: payload[i * frag_len : (i + 1) * frag_len].ljust(frag_len, b"\x00")
+        for i in range(count)
+    }
+    steps = [
+        (j, tuple(n + i for i in range(count) if (col >> i) & 1))
+        for j, col in enumerate(code.generator.columns_bits())
+    ]
+    _run_xor_steps(pool, steps, frag_len)
+    shards = [Shard(j, pool[j]) for j in range(n)]
     manifest = ShardManifest(
         format_version=FORMAT_VERSION,
-        code=code_id,
-        n=generator.cols,
-        k=k,
-        s=s,
+        code=code.code_id,
+        n=n,
+        # a stream code records its block dimension and horizon
+        k=code.k if code.s is None else code.base_k,
+        s=code.s,
         payload_length=len(payload),
         fragment_length=frag_len,
         checksums=tuple(_crc(sh.data) for sh in shards),
     )
     return manifest, shards
-
-
-def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
-    """Split the payload into k fragments and emit one shard per node."""
-    if code.family == "um":
-        return _encode(code.generator, code.code_id, code.base_k, code.s, payload)
-    return _encode(code.generator, code.code_id, code.k, None, payload)
 
 
 @lru_cache(maxsize=32)
@@ -199,35 +213,25 @@ def _sound_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[i
     return pool
 
 
-def _decode_recipe(live_sub: BitMatrix) -> list[list[int]] | None:
-    """Per-fragment XOR recipe over live column positions, or None.
+@lru_cache(maxsize=256)
+def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """Per fragment, the live shard indices whose XOR gives it, or None.
 
     One elimination of [live_sub | I] finds pivot positions p_t and the
     transform T with T @ live_sub in reduced form; fragment i is then the
-    XOR of the live shards at the pivots selected by column i of T.
+    XOR of the live shards at the pivots selected by column i of T.  The
+    recipe depends only on the code and the live set, so it is built once.
     """
+    live_sub = _code_for_id(code_id).generator.select_columns(live)
     k, width = live_sub.rows, live_sub.cols
     aug = [live_sub.row_bits[i] | (1 << (width + i)) for i in range(k)]
     pivots = reduce_rows(aug, width)
     if len(pivots) < k:
         return None
-    recipe: list[list[int]] = [[] for _ in range(k)]
-    for t in range(k):
-        transform = aug[t] >> width
-        for i in range(k):
-            if (transform >> i) & 1:
-                recipe[i].append(pivots[t])
-    return recipe
-
-
-@lru_cache(maxsize=256)
-def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
-    """Per fragment, the live shard indices whose XOR gives it, or None;
-    it depends only on the code and the live set, so it is built once."""
-    recipe = _decode_recipe(_code_for_id(code_id).generator.select_columns(live))
-    if recipe is None:
-        return None
-    return tuple(tuple(live[p] for p in positions) for positions in recipe)
+    return tuple(
+        tuple(live[pivots[t]] for t in range(k) if (aug[t] >> (width + i)) & 1)
+        for i in range(k)
+    )
 
 
 def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
@@ -240,14 +244,12 @@ def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
     recipe = _live_recipe(manifest.code, tuple(sorted(shards)))
     if recipe is None:
         raise NotCorrectable(f"{len(shards)} shards do not span the message space")
-    frag_len = manifest.fragment_length
-    out = bytearray()
-    for indices in recipe:
-        acc = 0
-        for j in indices:
-            acc ^= int.from_bytes(shards[j], "little")
-        out += acc.to_bytes(frag_len, "little")
-    return bytes(out[: manifest.payload_length])
+    # only the fragments the payload reaches; fragment i sits at key n + i
+    frag_len, n, length = manifest.fragment_length, manifest.n, manifest.payload_length
+    needed = -(-length // frag_len)
+    _run_xor_steps(shards, [(n + i, recipe[i]) for i in range(needed)], frag_len)
+    tail = memoryview(shards[n + needed - 1])[: length - (needed - 1) * frag_len]
+    return b"".join([*(shards[n + i] for i in range(needed - 1)), tail])
 
 
 def repair_shards(
@@ -272,18 +274,13 @@ def repair_shards(
         raise NotCorrectable("erasure pattern is beyond the code's capability")
     outcome = easy_repair_plan(code, pattern)
     if isinstance(outcome, RepairFailure):
-        payload = decode_object(
-            manifest, [Shard(i, data) for i, data in pool.items()]
-        )
+        payload = decode_object(manifest, [Shard(i, data) for i, data in pool.items()])
         _, fresh = encode_object(code, payload)
         repaired = tuple(fresh[i] for i in sorted(erased))
         result = RepairResult(repaired, None, True)
     else:
-        for step in outcome.steps:
-            acc = 0
-            for h in step.helpers:
-                acc ^= int.from_bytes(pool[h], "little")
-            pool[step.target] = acc.to_bytes(manifest.fragment_length, "little")
+        steps = [(step.target, step.helpers) for step in outcome.steps]
+        _run_xor_steps(pool, steps, manifest.fragment_length)
         repaired = tuple(Shard(i, pool[i]) for i in sorted(erased))
         result = RepairResult(repaired, outcome, False)
     for sh in result.shards:

@@ -70,3 +70,26 @@ def is_correctable_via_parity(
     h = parity if parity is not None else nullspace(code.generator)
     sub = h.select_columns(sorted(erased))
     return rank(BitMatrix(sub.cols, sub.rows, sub.columns_bits())) == sub.cols
+
+
+def xor_bytes(chunks: Iterable[bytes], length: int) -> bytes:
+    """The byte-by-byte XOR of equal-length byte strings; none gives zeros."""
+    out = bytearray(length)
+    for chunk in chunks:
+        for b, value in enumerate(chunk):
+            out[b] ^= value
+    return bytes(out)
+
+
+def encode_by_columns(generator: BitMatrix, payload: bytes) -> list[bytes]:
+    """Shard bytes by the column rule: the payload is zero-padded to one
+    equal fragment per generator row, and shard j is the XOR of the
+    fragments whose row has a 1 in column j."""
+    k = generator.rows
+    frag_len = -(-len(payload) // k)
+    padded = payload.ljust(k * frag_len, b"\x00")
+    frags = [padded[i * frag_len : (i + 1) * frag_len] for i in range(k)]
+    return [
+        xor_bytes((frags[i] for i in range(k) if (generator.row_bits[i] >> j) & 1), frag_len)
+        for j in range(generator.cols)
+    ]

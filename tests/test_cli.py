@@ -80,6 +80,21 @@ def test_decode_with_forced_erasures(tmp_path, capsys):
     assert out_file.read_bytes() == payload.read_bytes()
 
 
+@pytest.mark.parametrize("command, flag", [("decode", "--erased"), ("repair", "--missing")])
+@pytest.mark.parametrize("index", ["-1", "7"])
+def test_shard_index_outside_the_code_is_an_error(tmp_path, capsys, command, flag, index):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"index range")
+    shard_dir = tmp_path / "s"
+    run(capsys, "encode", "--code", "simplex:3", "--in", str(payload), "--dir", str(shard_dir))
+    extra = ["--out", str(tmp_path / "r.bin")] if command == "decode" else []
+    status, out, err = run(capsys, command, "--dir", str(shard_dir), *extra, flag, index)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and "index out of range" in err
+    assert not (tmp_path / "r.bin").exists()
+
+
 def test_decode_uncorrectable_exits_one(tmp_path, capsys):
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"not enough shards")
