@@ -374,9 +374,9 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-# Peak traced memory over the payload size, bounded by the peaks of the
-# earlier per-column XOR loops, rounded up: 5.10/4.82 encode, 3.27/3.14
-# decode and 1.06/0.53 repair on simplex:4/um:2:3.
+# Peak traced memory over the payload size may not pass that of the earlier
+# per-column XOR loops: 5.100/4.818 encode, 3.267/3.134 decode and
+# 1.050/0.525 repair on simplex:4/um:2:3, rounded up to two decimals.
 @pytest.mark.parametrize(
     "code_id, erased, bounds",
     [("simplex:4", {0, 7}, (5.11, 3.27, 1.06)), ("um:2:3", {0, 13}, (4.82, 3.14, 0.53))],
