@@ -136,9 +136,7 @@ def test_repair_nothing_missing():
     assert result.plan is not None and result.plan.steps == ()
 
 
-# simplex:4 repairs 0 <- 1+4, then 7 <- 0+10: a repaired node helps a later step
-@pytest.mark.parametrize("code_id, missing", [("c2:4", {0, 4}), ("simplex:4", {0, 7})])
-def test_repair_matches_reencoding_route(code_id, missing):
+def _check_repair_matches_reencoding(code_id, missing):
     payload = bytes(range(256)) * 3
     code = parse_code_id(code_id)
     manifest, shards = encode_object(code, payload)
@@ -149,6 +147,15 @@ def test_repair_matches_reencoding_route(code_id, missing):
     _, fresh = encode_object(code, decoded)
     for shard in result.shards:
         assert shard.data == fresh[shard.index].data == shards[shard.index].data
+
+
+def test_repair_matches_reencoding_route():
+    _check_repair_matches_reencoding("c2:4", {0, 4})
+
+
+def test_repair_chain_matches_reencoding_route():
+    # simplex:4 repairs 0 <- 1+4, then 7 <- 0+10: a repaired node helps a later step
+    _check_repair_matches_reencoding("simplex:4", {0, 7})
 
 
 def test_repair_falls_back_to_decode_when_steps_stall(monkeypatch):
