@@ -164,8 +164,10 @@ def _subsets(n, e, lo, hi):
 
 
 def _sampled_subsets(n, e, seed, lo, hi):
+    rng = random.Random()  # seeding resets the whole state: one generator serves every trial
     for i in range(lo, hi):
-        erased = tuple(sorted(random.Random(trial_seed(seed, i)).sample(range(n), e)))
+        rng.seed(trial_seed(seed, i))
+        erased = tuple(sorted(rng.sample(range(n), e)))
         yield sum(1 << j for j in erased), erased
 
 
@@ -256,7 +258,8 @@ def _walk_chunk(cols, k, pairs, e, lo, hi):
 def _sampled_chunk(cols, k, seed, lo, hi):
     """Easy repair of the mask drawn for each trial index in [lo, hi)."""
     n = len(cols)
-    masks = (random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi))
+    rng = random.Random()
+    masks = (rng.seed(trial_seed(seed, i)) or rng.getrandbits(n) for i in range(lo, hi))
     return _tally((mask, _easy_verdict(cols, k, mask)) for mask in masks)
 
 
@@ -438,7 +441,7 @@ def um_census(base_k: int, s: int, time_index: int, caps=(2, 3, 4, 5)) -> UmCens
     width = (1 << base_k) - 1
 
     def count(node: int, cap: int) -> int:
-        return max_disjoint_groups(code, node, cap)[0]
+        return max_disjoint_groups(code, node, cap, witness=False)[0]
 
     time0_cap1 = tuple(count(um_node_index(base_k, 0, h, j), 1) for h in (0, 1) for j in range(width))
     time0_cap2 = tuple(count(um_node_index(base_k, 0, h, j), 2) for h in (0, 1) for j in range(width))

@@ -88,11 +88,7 @@ class RepairFailure:
 class AvailabilityProfile:
     r_max: int
     per_node: tuple[tuple[int, ...], ...]
-    witnesses: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
     code_level: tuple[tuple[int, int], ...]
-
-    def code_t(self, r: int) -> int:
-        return self.code_level[r - 1][1]
 
 
 @lru_cache(maxsize=256)
@@ -605,15 +601,20 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def max_disjoint_groups(
-    code: LinearCode, target: int, max_size: int
-) -> tuple[int, list[RepairGroup]]:
-    """Exact maximum number of pairwise-disjoint repair groups, with witness."""
+    code: LinearCode, target: int, max_size: int, *, witness: bool = True
+) -> tuple[int, list[RepairGroup] | None]:
+    """Exact maximum number of pairwise-disjoint repair groups, with the
+    lex-least witness; with witness=False the count alone and None, which
+    skips the witness rebuild."""
     if code.n > PACKING_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds packing guard {PACKING_MAX_NODES}")
     cols = code_columns(code)
     groups = _group_table(cols, _checked_size(max_size))[target]
-    witness = _max_packing(groups, _projection_bound(cols, target, code.k))
-    return len(witness), [RepairGroup(target, frozenset(mask_indices(g))) for g in witness]
+    bound = _projection_bound(cols, target, code.k)
+    if not witness:
+        return _packing_size(_PackingSolver(groups), bound), None
+    packing = _max_packing(groups, bound)
+    return len(packing), [RepairGroup(target, frozenset(mask_indices(g))) for g in packing]
 
 
 def _checked_size(max_size: int) -> int:
@@ -627,21 +628,12 @@ def availability_profile(code: LinearCode, r_max: int) -> AvailabilityProfile:
     if code.n > PROFILE_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds profile guard {PROFILE_MAX_NODES}")
     _checked_size(r_max)
-    per_node = []
-    witnesses = []
-    for node in range(code.n):
-        counts = []
-        node_wits = []
-        for r in range(1, r_max + 1):
-            count, wit = max_disjoint_groups(code, node, r)
-            counts.append(count)
-            node_wits.append(tuple(tuple(sorted(g.helpers)) for g in wit))
-        per_node.append(tuple(counts))
-        witnesses.append(tuple(node_wits))
-    code_level = tuple(
-        (r, min(per_node[node][r - 1] for node in range(code.n))) for r in range(1, r_max + 1)
+    per_node = tuple(
+        tuple(max_disjoint_groups(code, node, r, witness=False)[0] for r in range(1, r_max + 1))
+        for node in range(code.n)
     )
-    return AvailabilityProfile(r_max, tuple(per_node), tuple(witnesses), code_level)
+    code_level = tuple((r, min(counts[r - 1] for counts in per_node)) for r in range(1, r_max + 1))
+    return AvailabilityProfile(r_max, per_node, code_level)
 
 
 def locality(code: LinearCode) -> int:

@@ -15,10 +15,10 @@ import zlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .codes import LinearCode, parse_code_id
-from .gf2 import reduce_rows
+from .gf2 import BitMatrix, reduce_rows
 from .repair import (
     ErasurePattern,
     RepairFailure,
@@ -125,7 +125,7 @@ def manifest_from_json(text: str) -> ShardManifest:
 
 
 def _run_xor_steps(
-    pool: dict[int, bytes], steps: list[tuple[int, tuple[int, ...]]], length: int
+    pool: dict[int, bytes], steps: Sequence[tuple[int, tuple[int, ...]]], length: int
 ) -> None:
     """For each (target, sources) step in order, set pool[target] to the XOR
     of the sources' ``length``-byte strings.  Each source becomes an int at
@@ -151,6 +151,14 @@ def _run_xor_steps(
             ints[target] = acc
 
 
+@lru_cache(maxsize=32)
+def _encode_steps(generator: BitMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Shard j is the XOR of the fragments (keys n + i) in column j."""
+    n, count = generator.cols, generator.rows
+    return tuple((j, tuple(n + i for i in range(count) if (col >> i) & 1))
+                 for j, col in enumerate(generator.columns_bits()))
+
+
 def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
     """Split the payload into zero-padded fragments, one per generator row,
     and emit one shard per node: the XOR of the fragments in its column."""
@@ -163,11 +171,7 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         n + i: payload[i * frag_len : (i + 1) * frag_len].ljust(frag_len, b"\x00")
         for i in range(count)
     }
-    steps = [
-        (j, tuple(n + i for i in range(count) if (col >> i) & 1))
-        for j, col in enumerate(code.generator.columns_bits())
-    ]
-    _run_xor_steps(pool, steps, frag_len)
+    _run_xor_steps(pool, _encode_steps(code.generator), frag_len)
     shards = [Shard(j, pool[j]) for j in range(n)]
     manifest = ShardManifest(
         format_version=FORMAT_VERSION,

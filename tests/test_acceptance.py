@@ -79,13 +79,13 @@ def test_criterion_4_availability():
             profile = availability_profile(code, 2)
             expected = (code.n - 1) // 2
             assert all(counts[1] == expected for counts in profile.per_node)
-            assert profile.code_t(2) == expected
+            assert profile.code_level[1] == (2, expected)
         for k in (3, 4, 5):
             profile = availability_profile(c1_code(k), 2)
             assert all(counts[1] == k - 1 for counts in profile.per_node)
-            assert profile.code_t(2) == k - 1
+            assert profile.code_level[1] == (2, k - 1)
         for k in (2, 3, 4, 5):
-            assert availability_profile(c2_code(k), 3).code_t(3) >= 2
+            assert availability_profile(c2_code(k), 3).code_level[2][1] >= 2
 
 
 def test_criterion_5_easy_repair_property():
@@ -132,20 +132,21 @@ def test_criterion_6_parallel_repair():
 
 
 def test_criterion_7_repair_group_census():
-    with criterion(7, "disjoint repair-group census at an interior block", 300.0):
+    with criterion(7, "disjoint repair-group census at every interior block", 300.0):
         for k in (2, 3):
-            census = metrics.um_census(k, 4, 2)
             half, whole = 1 << (k - 1), 1 << k
-            assert all(c >= 1 for c in census.time0_cap1)
-            assert all(c >= whole - 1 for c in census.time0_cap2)
-            by_cap = {cap: (first, second) for cap, first, second in census.by_cap}
-            assert all(c >= half for c in by_cap[2][0])
-            assert all(c >= half + 1 for c in by_cap[2][1])
-            assert all(c >= whole - 1 for c in by_cap[3][0])
-            assert all(c >= whole for c in by_cap[3][1])
-            assert all(c >= whole for c in by_cap[4][0])
-            assert all(c >= whole + half - 1 for c in by_cap[4][1])
-            assert all(c >= whole + half - 1 for c in by_cap[5][0])
+            for block in (1, 2, 3):
+                census = metrics.um_census(k, 4, block)
+                assert all(c >= 1 for c in census.time0_cap1)
+                assert all(c >= whole - 1 for c in census.time0_cap2)
+                by_cap = {cap: (first, second) for cap, first, second in census.by_cap}
+                assert all(c >= half for c in by_cap[2][0])
+                assert all(c >= half + 1 for c in by_cap[2][1])
+                assert all(c >= whole - 1 for c in by_cap[3][0])
+                assert all(c >= whole for c in by_cap[3][1])
+                assert all(c >= whole for c in by_cap[4][0])
+                assert all(c >= whole + half - 1 for c in by_cap[4][1])
+                assert all(c >= whole + half - 1 for c in by_cap[5][0])
 
 
 TABLES = {

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -441,19 +443,37 @@ def test_table_formats():
     assert "1/2.5" in text  # the (10, 4) row
 
 
-def test_um_census_base2_meets_every_claim():
-    census = um_census(2, 4, 2)
-    k = 2
+def _assert_census_claims(census):
+    """The guaranteed minimum of every count: half = 2^(k-1), whole = 2^k."""
+    half, whole = 1 << (census.base_k - 1), 1 << census.base_k
     assert all(c >= 1 for c in census.time0_cap1)
-    assert all(c >= (1 << k) - 1 for c in census.time0_cap2)
-    by_cap = dict((cap, (first, second)) for cap, first, second in census.by_cap)
-    assert all(c >= 1 << (k - 1) for c in by_cap[2][0])
-    assert all(c >= (1 << (k - 1)) + 1 for c in by_cap[2][1])
-    assert all(c >= (1 << k) - 1 for c in by_cap[3][0])
-    assert all(c >= 1 << k for c in by_cap[3][1])
-    assert all(c >= 1 << k for c in by_cap[4][0])
-    assert all(c >= (1 << k) + (1 << (k - 1)) - 1 for c in by_cap[4][1])
-    assert all(c >= (1 << k) + (1 << (k - 1)) - 1 for c in by_cap[5][0])
+    assert all(c >= whole - 1 for c in census.time0_cap2)
+    by_cap = {cap: (first, second) for cap, first, second in census.by_cap}
+    assert all(c >= half for c in by_cap[2][0])
+    assert all(c >= half + 1 for c in by_cap[2][1])
+    assert all(c >= whole - 1 for c in by_cap[3][0])
+    assert all(c >= whole for c in by_cap[3][1])
+    assert all(c >= whole for c in by_cap[4][0])
+    assert all(c >= whole + half - 1 for c in by_cap[4][1])
+    assert all(c >= whole + half - 1 for c in by_cap[5][0])
+
+
+def test_um_census_base2_meets_every_claim():
+    _assert_census_claims(um_census(2, 4, 2))
+
+
+def test_um_census_at_time_block_one_completes():
+    # block 1's lex-least witnesses take minutes per node at cap 5; the
+    # census asks for counts only, so it finishes in about a second
+    census = um_census(3, 3, 1)
+    _assert_census_claims(census)
+    assert [(cap, min(first), min(second)) for cap, first, second in census.by_cap] == [
+        (2, 4, 5), (3, 8, 11), (4, 11, 11), (5, 11, 11)]
+
+
+def test_um_census_counts_are_pinned():
+    digest = hashlib.sha256(repr(um_census(3, 4, 2)).encode()).hexdigest()
+    assert digest == "7f59c8823debb3a4ce2ef2435f03b79e366c54f345f6826fa83ddf4a35b417ed"
 
 
 def test_monte_carlo_within_capability():
@@ -495,6 +515,23 @@ def test_trial_seed_is_stable_and_spread():
     assert trial_seed(1, 0) == trial_seed(1, 0)
     seeds = {trial_seed(9, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+@pytest.mark.parametrize("cuts", [(0, 30), (0, 1, 2, 30), (0, 11, 19, 30), (7, 8, 29)])
+def test_sampled_chunks_draw_what_a_generator_per_trial_draws(monkeypatch, cuts):
+    """One generator reseeded per trial gives the patterns of a fresh
+    random.Random(trial_seed(seed, i)) per trial, wherever chunks are cut."""
+    seed, n, e = 20260808, 70, 11
+    drawn = []
+    monkeypatch.setattr(metrics, "_easy_verdict", lambda cols, k, mask: drawn.append(mask))
+    for lo, hi in zip(cuts, cuts[1:]):
+        fresh = [random.Random(trial_seed(seed, i)) for i in range(lo, hi)]
+        erased = [tuple(sorted(rng.sample(range(n), e))) for rng in fresh]
+        assert list(metrics._sampled_subsets(n, e, seed, lo, hi)) == [
+            (sum(1 << j for j in x), x) for x in erased]
+        drawn.clear()
+        metrics._sampled_chunk((1,) * n, 1, seed, lo, hi)
+        assert drawn == [random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi)]
 
 
 def test_easy_repair_holds_for_short_horizon_stream_code():

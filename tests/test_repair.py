@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import codeword, is_correctable_via_parity
 from simplexor.codes import (
@@ -478,16 +478,45 @@ def test_projection_hint_never_changes_the_packing(code):
             )
 
 
+def _columns_code(cols, k):
+    return _custom_code([[(c >> i) & 1 for c in cols] for i in range(k)])
+
+
+@st.composite
+def small_generators(draw):
+    """A generator of 1 to 4 rows and at most 11 columns with a zero, a unit
+    and a duplicated column; its rows need not be independent."""
+    k = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=7))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=2))
+    unit = 1 << draw(st.integers(0, k - 1))
+    return _columns_code(draw(st.permutations(base + copies + [unit, 0])), k)
+
+
+# node 8, the zero column, packs 3 groups at cap 3, where the greedy lower
+# bound stops at 2: only an exact count passes here
+@example(_columns_code((2, 5, 4, 6, 5, 7, 3, 5, 0, 1), 3), 3)
+@given(small_generators(), st.integers(1, 4))
+def test_count_only_packing_matches_the_witness_count(code, cap):
+    for target in range(code.n):
+        count, witness = max_disjoint_groups(code, target, cap)
+        assert max_disjoint_groups(code, target, cap, witness=False) == (count, None)
+        assert len(witness) == count
+
+
 def test_availability_profile_simplex3():
     code = simplex_code(3)
     profile = availability_profile(code, 2)
-    assert profile.code_t(2) == 3
+    assert profile.code_level == ((1, 0), (2, 3))
     assert all(counts[1] == 3 for counts in profile.per_node)
     cols = code_columns(code)
     for node in range(code.n):
         for r in (1, 2):
+            count, witness = max_disjoint_groups(code, node, r)
+            assert count == profile.per_node[node][r - 1]
             used = set()
-            for helpers in profile.witnesses[node][r - 1]:
+            for group in witness:
+                helpers = tuple(sorted(group.helpers))
                 assert len(helpers) <= r
                 assert node not in helpers
                 assert not set(helpers) & used
@@ -500,7 +529,7 @@ def test_availability_profile_simplex3():
 
 def test_availability_profile_chain():
     profile = availability_profile(c2_code(3), 3)
-    assert profile.code_t(3) == 2
+    assert profile.code_level[2] == (3, 2)
 
 
 def test_availability_interior_um_node():
