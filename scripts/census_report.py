@@ -24,6 +24,10 @@ def main() -> None:
     parser.add_argument("--s", type=int, default=4)
     parser.add_argument("--time-index", type=int, help="one interior block (default: all)")
     args = parser.parse_args()
+    if args.s < 2:
+        parser.error("--s must be at least 2, so that block 1 is interior")
+    if args.time_index is not None and not 1 <= args.time_index <= args.s - 1:
+        parser.error(f"--time-index must name an interior block, 1..{args.s - 1}")
 
     k = args.base_k
     half, whole = 1 << (k - 1), 1 << k

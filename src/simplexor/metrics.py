@@ -441,7 +441,7 @@ def um_census(base_k: int, s: int, time_index: int, caps=(2, 3, 4, 5)) -> UmCens
     width = (1 << base_k) - 1
 
     def count(node: int, cap: int) -> int:
-        return max_disjoint_groups(code, node, cap, witness=False)[0]
+        return max_disjoint_groups(code, node, cap)[0]
 
     time0_cap1 = tuple(count(um_node_index(base_k, 0, h, j), 1) for h in (0, 1) for j in range(width))
     time0_cap2 = tuple(count(um_node_index(base_k, 0, h, j), 2) for h in (0, 1) for j in range(width))

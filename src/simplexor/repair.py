@@ -342,7 +342,7 @@ def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Exact maximum disjoint packing (branch and bound, lex-first witness)
+# Exact maximum disjoint packing (branch and bound; the search's clique is the witness)
 
 
 def _compatibility(masks: Sequence[int], full: int) -> tuple[dict[int, int], list[int]]:
@@ -373,19 +373,17 @@ class _PackingSolver:
     bounds: the greedy-coloring bound (at most one vertex per independent
     class) and the hitting-set bound (every packed group spends one cover
     node).  Vertices are relabeled by compatibility degree so the coloring
-    packs classes tightly, and the map is built again over the relabeled
-    groups; the public indices stay in lex order of the helper tuples.
+    packs classes tightly; ``masks`` holds the groups in that order, and the
+    map is built again over it.
     """
 
     def __init__(self, masks: Sequence[int]):
         n = len(masks)
         self.full = full = (1 << n) - 1
-        _, lex_adj = _compatibility(masks, full)
-        perm = sorted(range(n), key=lambda v: (lex_adj[v].bit_count(), v))
-        self.pos = [0] * n
-        for s, v in enumerate(perm):
-            self.pos[v] = s
-        holders, self.adj = _compatibility([masks[v] for v in perm], full)
+        _, first_adj = _compatibility(masks, full)
+        perm = sorted(range(n), key=lambda v: (first_adj[v].bit_count(), v))
+        self.masks = [masks[v] for v in perm]
+        holders, self.adj = _compatibility(self.masks, full)
         nodes = sorted(holders)
         self.cover_verts = []
         left = full
@@ -394,14 +392,18 @@ class _PackingSolver:
             self.cover_verts.append(verts)
             left &= ~verts
 
-    def max_clique(self, start: int, best_start: int, stop_at: int | None) -> int:
+    def max_clique(self, best_start: int, stop_at: int) -> tuple[int, int]:
+        """Search for cliques of more than best_start vertices, stopping at
+        the first of stop_at; returns the size and vertex bitset of the
+        largest found, or (best_start, 0) if none is larger."""
         adj = self.adj
         cover_verts = self.cover_verts
         best = best_start
+        clique = 0
         done = False
 
-        def expand(p: int, size: int) -> None:
-            nonlocal best, done
+        def expand(p: int, size: int, chosen: int) -> None:
+            nonlocal best, clique, done
             hits = 0
             tightest = None
             tight_count = 0
@@ -425,17 +427,18 @@ class _PackingSolver:
                     v = b.bit_length() - 1
                     p2 = p & adj[v]
                     if p2:
-                        expand(p2, size + 1)
+                        expand(p2, size + 1, chosen | b)
                         if done:
                             return
                     elif size + 1 > best:
                         best = size + 1
-                        if stop_at is not None and best >= stop_at:
+                        clique = chosen | b
+                        if best >= stop_at:
                             done = True
                             return
                 skip = p & ~tightest
                 if skip:
-                    expand(skip, size)
+                    expand(skip, size, chosen)
                 return
             order: list[int] = []
             colors: list[int] = []
@@ -456,21 +459,22 @@ class _PackingSolver:
                 if size + colors[i] <= best:
                     return
                 v = order[i]
+                b = 1 << v
                 p2 = p & adj[v]
                 if p2:
-                    expand(p2, size + 1)
+                    expand(p2, size + 1, chosen | b)
                     if done:
                         return
                 elif size + 1 > best:
                     best = size + 1
-                    if stop_at is not None and best >= stop_at:
+                    clique = chosen | b
+                    if best >= stop_at:
                         done = True
                         return
-                p &= ~(1 << v)
+                p &= ~b
 
-        if start:
-            expand(start, 0)
-        return best
+        expand(self.full, 0, 0)
+        return best, clique
 
 
 def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | None:
@@ -510,9 +514,10 @@ def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | No
 
 
 def _greedy_most_compatible(solver: _PackingSolver) -> int:
-    """Greedy packing that always takes the least-conflicting candidate."""
+    """Greedy packing that always takes the least-conflicting candidate;
+    returns the bitset of the vertices it takes."""
     p = solver.full
-    count = 0
+    chosen = 0
     while p:
         best_v = -1
         best_compat = -1
@@ -525,62 +530,32 @@ def _greedy_most_compatible(solver: _PackingSolver) -> int:
             if c > best_compat:
                 best_compat = c
                 best_v = v
-        count += 1
+        chosen |= 1 << best_v
         p &= solver.adj[best_v]
-    return count
-
-
-def _packing_size(solver: _PackingSolver, upper_hint: int | None) -> int:
-    """Exact packing number via descending feasibility tests.
-
-    Starting from the best known upper bound keeps the incumbent maximal
-    during each test, so all bounds prune as hard as they can.
-    """
-    lb = _greedy_most_compatible(solver)
-    ub = len(solver.cover_verts)
-    if upper_hint is not None and upper_hint < ub:
-        ub = upper_hint
-    while ub > lb:
-        if solver.max_clique(solver.full, ub - 1, ub) >= ub:
-            return ub
-        ub -= 1
-    return lb
+    return chosen
 
 
 def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[int]:
-    """Largest pairwise-disjoint subcollection of the group bitmasks; on
-    ties the witness whose ascending index tuples are lex-least."""
-    if not groups:
-        return []
-    ordered = sorted(groups, key=mask_indices)
-    solver = _PackingSolver(ordered)
-    size = _packing_size(solver, upper_hint)
-    # Rebuild the witness front to back: take the lex-least group that
-    # still allows a packing of the remaining size.
-    chosen: list[int] = []
-    p = solver.full
-    need = size
-    while need:
-        found = False
-        for v in range(len(ordered)):
-            s = solver.pos[v]
-            if not (p >> s) & 1:
-                continue
-            if need == 1:
-                chosen.append(v)
-                need = 0
-                found = True
-                break
-            p2 = p & solver.adj[s]
-            if solver.max_clique(p2, need - 2, need - 1) >= need - 1:
-                chosen.append(v)
-                p = p2
-                need -= 1
-                found = True
-                break
-        if not found:
-            raise RuntimeError("packing witness search disagrees with the exact count")
-    return [ordered[v] for v in chosen]
+    """A largest pairwise-disjoint subcollection of the group bitmasks, in
+    mask_indices order.
+
+    Descending feasibility tests from the best known upper bound keep the
+    incumbent maximal during each test, so all bounds prune as hard as
+    they can; the first test that succeeds holds a maximum packing, and if
+    none does the greedy packing is one.
+    """
+    solver = _PackingSolver(groups)
+    clique = _greedy_most_compatible(solver)
+    ub = len(solver.cover_verts)
+    if upper_hint is not None and upper_hint < ub:
+        ub = upper_hint
+    while ub > clique.bit_count():
+        size, found = solver.max_clique(ub - 1, ub)
+        if size >= ub:
+            clique = found
+            break
+        ub -= 1
+    return sorted((solver.masks[v] for v in mask_indices(clique)), key=mask_indices)
 
 
 def _index_mask(indices: Iterable[int]) -> int:
@@ -601,19 +576,19 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def max_disjoint_groups(
-    code: LinearCode, target: int, max_size: int, *, witness: bool = True
-) -> tuple[int, list[RepairGroup] | None]:
-    """Exact maximum number of pairwise-disjoint repair groups, with the
-    lex-least witness; with witness=False the count alone and None, which
-    skips the witness rebuild."""
+    code: LinearCode, target: int, max_size: int
+) -> tuple[int, list[RepairGroup]]:
+    """Exact maximum number of pairwise-disjoint repair groups, with a
+    maximum packing as witness, its groups in lex order of their helpers.
+    Which maximum packing is returned is not part of the contract."""
     if code.n > PACKING_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds packing guard {PACKING_MAX_NODES}")
+    if not 0 <= target < code.n:
+        raise DimensionMismatch("target index out of range")
     cols = code_columns(code)
-    groups = _group_table(cols, _checked_size(max_size))[target]
-    bound = _projection_bound(cols, target, code.k)
-    if not witness:
-        return _packing_size(_PackingSolver(groups), bound), None
-    packing = _max_packing(groups, bound)
+    packing = _max_packing(
+        _group_table(cols, _checked_size(max_size))[target], _projection_bound(cols, target, code.k)
+    )
     return len(packing), [RepairGroup(target, frozenset(mask_indices(g))) for g in packing]
 
 
@@ -629,7 +604,7 @@ def availability_profile(code: LinearCode, r_max: int) -> AvailabilityProfile:
         raise InvalidBound(f"code length {code.n} exceeds profile guard {PROFILE_MAX_NODES}")
     _checked_size(r_max)
     per_node = tuple(
-        tuple(max_disjoint_groups(code, node, r, witness=False)[0] for r in range(1, r_max + 1))
+        tuple(max_disjoint_groups(code, node, r)[0] for r in range(1, r_max + 1))
         for node in range(code.n)
     )
     code_level = tuple((r, min(counts[r - 1] for counts in per_node)) for r in range(1, r_max + 1))

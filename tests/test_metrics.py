@@ -463,8 +463,7 @@ def test_um_census_base2_meets_every_claim():
 
 
 def test_um_census_at_time_block_one_completes():
-    # block 1's lex-least witnesses take minutes per node at cap 5; the
-    # census asks for counts only, so it finishes in about a second
+    # every count of block 1 up to cap 5, in about a second
     census = um_census(3, 3, 1)
     _assert_census_claims(census)
     assert [(cap, min(first), min(second)) for cap, first, second in census.by_cap] == [

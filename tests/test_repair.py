@@ -14,7 +14,8 @@ from simplexor.codes import (
     simplex_parity_check,
     um_block_code,
 )
-from simplexor.gf2 import BitMatrix
+from simplexor.gf2 import BitMatrix, DimensionMismatch
+from simplexor.metrics import um_census, um_node_index
 from simplexor.repair import (
     ErasurePattern,
     InvalidBound,
@@ -397,6 +398,12 @@ def test_max_disjoint_groups_trivial_code():
     assert max_disjoint_groups(code, 0, 2) == (0, [])
 
 
+@pytest.mark.parametrize("target", [-1, 7])
+def test_max_disjoint_groups_rejects_an_out_of_range_target(target):
+    with pytest.raises(DimensionMismatch, match="target index out of range"):
+        max_disjoint_groups(simplex_code(3), target, 2)
+
+
 def test_max_disjoint_groups_lex_witness():
     code = _custom_code([[1, 1, 1]])
     count, witness = max_disjoint_groups(code, 0, 2)
@@ -429,26 +436,27 @@ def test_max_packing_matches_brute_force(groups):
     best = max(len(f) for f in families)
     got = [mask_indices(m) for m in _max_packing([_index_mask(g) for g in groups])]
     assert len(got) == best
-    assert got == min(f for f in families if len(f) == best)
+    assert set(got) <= set(groups)
+    assert not any(set(a) & set(b) for a, b in itertools.combinations(got, 2))
+    assert got == sorted(got)
 
 
 @given(_GROUP_LISTS)
 def test_packing_solver_graph_and_cover_match_the_groups(groups):
     masks = [_index_mask(g) for g in groups]
     solver = _PackingSolver(masks)
-    pos = solver.pos
-    assert sorted(pos) == list(range(len(masks)))
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            assert (solver.adj[pos[i]] >> pos[j]) & 1 == (not mi & mj)
+    assert sorted(solver.masks) == sorted(masks)
+    for i, mi in enumerate(solver.masks):
+        for j, mj in enumerate(solver.masks):
+            assert (solver.adj[i] >> j) & 1 == (not mi & mj)
     through = {
-        node: sum(1 << pos[i] for i, m in enumerate(masks) if (m >> node) & 1)
+        node: sum(1 << i for i, m in enumerate(solver.masks) if (m >> node) & 1)
         for node in range(12)
     }
     for verts in solver.cover_verts:
         assert verts in through.values()
     for i in range(len(masks)):
-        assert any((verts >> pos[i]) & 1 for verts in solver.cover_verts)
+        assert any((verts >> i) & 1 for verts in solver.cover_verts)
 
 
 def test_projection_bound_is_a_valid_upper_bound():
@@ -497,11 +505,29 @@ def small_generators(draw):
 # bound stops at 2: only an exact count passes here
 @example(_columns_code((2, 5, 4, 6, 5, 7, 3, 5, 0, 1), 3), 3)
 @given(small_generators(), st.integers(1, 4))
-def test_count_only_packing_matches_the_witness_count(code, cap):
+def test_packing_count_is_the_brute_force_maximum_and_the_witness_a_maximum_packing(code, cap):
     for target in range(code.n):
         count, witness = max_disjoint_groups(code, target, cap)
-        assert max_disjoint_groups(code, target, cap, witness=False) == (count, None)
+        groups = [tuple(sorted(g.helpers)) for g in enumerate_repair_groups(code, target, cap)]
+        assert count == max(len(f) for f in _disjoint_families(groups))
         assert len(witness) == count
+        assert {tuple(sorted(g.helpers)) for g in witness} <= set(groups)
+        _assert_packing_valid(code, target, witness)
+
+
+def test_time_block_one_cap5_witnesses_complete():
+    """Every node of um:3:3 time block 1 gets a maximum packing at cap 5,
+    of the size the census counts."""
+    code = um_block_code(3, 3)
+    census = um_census(3, 3, 1, caps=(5,))
+    (_, first, second), = census.by_cap
+    for half, counts in enumerate((first, second)):
+        for j, expected in enumerate(counts):
+            node = um_node_index(3, 1, half, j)
+            count, witness = max_disjoint_groups(code, node, 5)
+            assert count == len(witness) == expected
+            _assert_packing_valid(code, node, witness)
+            assert all(len(g.helpers) <= 5 for g in witness)
 
 
 def test_availability_profile_simplex3():
