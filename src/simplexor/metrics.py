@@ -24,6 +24,7 @@ from .codes import (
     c1_code,
     c1_repeat_code,
     simplex_code,
+    simplex_generator,
     sliding_generator,
     tensor_um_code,
     um2prime_code,
@@ -435,22 +436,48 @@ def um_node_index(base_k: int, time_index: int, half: int, j: int) -> int:
     return 2 * width * time_index + half * width + j
 
 
+def _check_half_block_symmetry(cols, base_k: int, time_indices) -> None:
+    """Raise ValueError unless, for each simplex position j, an invertible map
+    A_j of GF(2)^base_k with A_j g_0 = g_j, applied to every base_k-bit row
+    block, permutes cols and takes node (t, h, 0) to node (t, h, j) for every
+    t in time_indices. Such a bijection maps circuits to circuits, so it
+    carries disjoint repair groups of the one node onto those of the other."""
+    g = simplex_generator(base_k).columns_bits()
+    a = g[0].bit_length() - 1  # g_0 = e_a
+    low = (1 << base_k) - 1
+    for j, gj in enumerate(g):
+        a_cols = [1 << i for i in range(base_k)]
+        a_cols[a] = gj
+        if not gj >> a & 1:
+            a_cols[(gj & -gj).bit_length() - 1] = 1 << a
+        image_of = [0]  # image_of[v] = A_j v
+        for c in a_cols:
+            image_of += [x ^ c for x in image_of]
+        image = [sum(image_of[v >> i & low] << i for i in range(0, v.bit_length(), base_k)) for v in cols]
+        if not (full_rank_on_live(a_cols, 0, base_k) and sorted(image) == sorted(cols)
+                and all(image[um_node_index(base_k, t, h, 0)] == cols[um_node_index(base_k, t, h, j)]
+                        for t in time_indices for h in (0, 1))):
+            raise ValueError(f"simplex position {j} breaks the half-block symmetry of the census")
+
+
 def um_census(base_k: int, s: int, time_index: int, caps=(2, 3, 4, 5)) -> UmCensus:
-    """Exact per-node disjoint-group counts around one interior time block."""
+    """Exact per-node disjoint-group counts around one interior time block.
+
+    All nodes of a half block have one count (checked on every call by
+    _check_half_block_symmetry), so the packer runs once per half block and cap."""
+    if not 1 <= time_index <= s - 1:
+        raise ValueError(f"time_index {time_index} is not an interior block 1..{s - 1}")
     code = um_block_code(base_k, s)
     width = (1 << base_k) - 1
+    _check_half_block_symmetry(code_columns(code), base_k, (0, time_index))
 
-    def count(node: int, cap: int) -> int:
-        return max_disjoint_groups(code, node, cap)[0]
+    def half(t: int, h: int, cap: int) -> tuple[int, ...]:
+        return (max_disjoint_groups(code, um_node_index(base_k, t, h, 0), cap)[0],) * width
 
-    time0_cap1 = tuple(count(um_node_index(base_k, 0, h, j), 1) for h in (0, 1) for j in range(width))
-    time0_cap2 = tuple(count(um_node_index(base_k, 0, h, j), 2) for h in (0, 1) for j in range(width))
-    by_cap = []
-    for cap in caps:
-        first = tuple(count(um_node_index(base_k, time_index, 0, j), cap) for j in range(width))
-        second = tuple(count(um_node_index(base_k, time_index, 1, j), cap) for j in range(width))
-        by_cap.append((cap, first, second))
-    return UmCensus(base_k, s, time_index, width, time0_cap1, time0_cap2, tuple(by_cap))
+    time0_cap1 = half(0, 0, 1) + half(0, 1, 1)
+    time0_cap2 = half(0, 0, 2) + half(0, 1, 2)
+    by_cap = tuple((cap, half(time_index, 0, cap), half(time_index, 1, cap)) for cap in caps)
+    return UmCensus(base_k, s, time_index, width, time0_cap1, time0_cap2, by_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from simplexor.metrics import (
     sliding_block_distance,
     trial_seed,
     um_census,
+    um_node_index,
     verify_easy_repair_property,
     verify_parallel_capacity,
 )
@@ -39,6 +40,7 @@ from simplexor.repair import (
     easy_closure_for_mask,
     full_rank_on_live,
     locality,
+    max_disjoint_groups,
     parallel_table,
 )
 
@@ -466,6 +468,8 @@ def test_um_census_at_time_block_one_completes():
     # every count of block 1 up to cap 5, in about a second
     census = um_census(3, 3, 1)
     _assert_census_claims(census)
+    assert hashlib.sha256(repr(census).encode()).hexdigest() == (
+        "31669e72a8345ed469598d8c6afb70d793085866d7cd0e93c69376b6de48c179")
     assert [(cap, min(first), min(second)) for cap, first, second in census.by_cap] == [
         (2, 4, 5), (3, 8, 11), (4, 11, 11), (5, 11, 11)]
 
@@ -473,6 +477,56 @@ def test_um_census_at_time_block_one_completes():
 def test_um_census_counts_are_pinned():
     digest = hashlib.sha256(repr(um_census(3, 4, 2)).encode()).hexdigest()
     assert digest == "7f59c8823debb3a4ce2ef2435f03b79e366c54f345f6826fa83ddf4a35b417ed"
+
+
+@pytest.mark.parametrize("time_index", [-1, 0, 4, 5])
+def test_um_census_rejects_blocks_outside_the_interior(time_index):
+    # block 0 is the replicated first block and block 5 of um:2:4 is the
+    # tail, whose second half is all zero columns
+    with pytest.raises(ValueError, match="interior"):
+        um_census(2, 4, time_index)
+
+
+@pytest.mark.parametrize("base_k, s, time_index, caps", [
+    *[(2, s, t, (1, 2, 3, 4, 5)) for s in (2, 3, 4) for t in range(1, s)],
+    (3, 4, 2, (2, 3, 4)),
+])
+def test_um_census_matches_the_packer_on_every_node(base_k, s, time_index, caps):
+    """The census counts one node per half block; every node must agree."""
+    code = um_block_code(base_k, s)
+    census = um_census(base_k, s, time_index, caps=caps)
+    width = census.half
+    rows = [(0, 1, census.time0_cap1), (0, 2, census.time0_cap2)]
+    rows += [(time_index, cap, first + second) for cap, first, second in census.by_cap]
+    for t, cap, counts in rows:
+        assert len(counts) == 2 * width
+        for h in (0, 1):
+            for j in range(width):
+                node = um_node_index(base_k, t, h, j)
+                assert max_disjoint_groups(code, node, cap)[0] == counts[h * width + j], (t, h, j, cap)
+
+
+def test_half_block_symmetry_check_rejects_changed_columns():
+    """Flipping any one bit of any column of um:2:3 must fail the check, in a
+    half block the census reads (blocks 0 and 1) or in one whose columns only
+    enter the repair groups of the nodes it reads. So must swapping the two
+    halves' node 0 of block 1, which keeps the columns as a multiset."""
+    code = um_block_code(2, 3)
+    cols = code_columns(code)
+    metrics._check_half_block_symmetry(cols, 2, (0, 1))
+    changed = []
+    for node in range(code.n):
+        for row in range(code.k):
+            bad = list(cols)
+            bad[node] ^= 1 << row
+            changed.append(bad)
+    u, v = um_node_index(2, 1, 0, 0), um_node_index(2, 1, 1, 0)
+    swapped = list(cols)
+    swapped[u], swapped[v] = cols[v], cols[u]
+    assert sorted(swapped) == sorted(cols) and swapped != list(cols)
+    for bad in [*changed, swapped]:
+        with pytest.raises(ValueError, match="symmetry"):
+            metrics._check_half_block_symmetry(tuple(bad), 2, (0, 1))
 
 
 def test_monte_carlo_within_capability():
