@@ -269,13 +269,9 @@ def _parallel_chunk(table, source, *args):
     return _tally((mask, _parallel_ok(table, mask, erased)) for mask, erased in source(*args))
 
 
-def _call(chunk):
-    """Run one chunk: a partial of a top-level ``_*_chunk``, so it pickles."""
-    return chunk()
-
-
 def _run_chunks(chunks, workers: int):
-    """Chunk results in chunk order.  The chunks were cut for the requested
+    """Chunk results in chunk order.  Each chunk is a partial of a top-level
+    ``_*_chunk``, so it pickles.  The chunks were cut for the requested
     worker count; the pool starts no more processes than there are chunks
     or cores."""
     if workers < 1:
@@ -284,7 +280,7 @@ def _run_chunks(chunks, workers: int):
     if procs <= 1:
         return [chunk() for chunk in chunks]
     with ProcessPoolExecutor(max_workers=procs) as ex:
-        return list(ex.map(_call, chunks))
+        return [f.result() for f in [ex.submit(chunk) for chunk in chunks]]
 
 
 def _ranges(total: int, parts: int) -> list[tuple[int, int]]:

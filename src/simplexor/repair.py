@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
-from .gf2 import BitMatrix, DimensionMismatch, reduce_rows
+from .gf2 import BitMatrix, DimensionMismatch
 
 MAX_GROUP_SIZE = 6
 PACKING_MAX_NODES = 96
@@ -332,13 +332,18 @@ def _group_table(cols: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]
     return tuple(map(tuple, table))
 
 
-def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:
-    """All minimal repair groups with at most max_size helpers."""
+def _groups_of(code: LinearCode, target: int, max_size: int) -> tuple[int, ...]:
+    """The target's minimal repair groups of at most max_size helpers, as
+    helper bitmasks in (size, indices) order."""
     _checked_size(max_size)
     if not 0 <= target < code.n:
         raise DimensionMismatch("target index out of range")
-    groups = _group_table(code_columns(code), max_size)[target]
-    return [RepairGroup(target, frozenset(mask_indices(g))) for g in groups]
+    return _group_table(code_columns(code), max_size)[target]
+
+
+def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:
+    """All minimal repair groups with at most max_size helpers."""
+    return [RepairGroup(target, frozenset(mask_indices(g))) for g in _groups_of(code, target, max_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +518,19 @@ def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | No
     return best
 
 
-def _greedy_most_compatible(solver: _PackingSolver) -> int:
-    """Greedy packing that always takes the least-conflicting candidate;
-    returns the bitset of the vertices it takes."""
-    p = solver.full
-    chosen = 0
-    while p:
-        best_v = -1
-        best_compat = -1
-        q = p
-        while q:
-            b = q & -q
-            q ^= b
-            v = b.bit_length() - 1
-            c = (p & solver.adj[v]).bit_count()
-            if c > best_compat:
-                best_compat = c
-                best_v = v
-        chosen |= 1 << best_v
-        p &= solver.adj[best_v]
-    return chosen
+def _first_fit(masks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The masks in order, split into a greedy disjoint packing, each mask
+    that misses every mask taken before it, and the rest."""
+    packing: list[int] = []
+    rest: list[int] = []
+    used = 0
+    for mask in masks:
+        if mask & used:
+            rest.append(mask)
+        else:
+            packing.append(mask)
+            used |= mask
+    return packing, rest
 
 
 def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[int]:
@@ -542,20 +540,20 @@ def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[i
     Descending feasibility tests from the best known upper bound keep the
     incumbent maximal during each test, so all bounds prune as hard as
     they can; the first test that succeeds holds a maximum packing, and if
-    none does the greedy packing is one.
+    none does the first-fit packing is one.
     """
+    packing, _ = _first_fit(groups)
     solver = _PackingSolver(groups)
-    clique = _greedy_most_compatible(solver)
     ub = len(solver.cover_verts)
     if upper_hint is not None and upper_hint < ub:
         ub = upper_hint
-    while ub > clique.bit_count():
+    while ub > len(packing):
         size, found = solver.max_clique(ub - 1, ub)
         if size >= ub:
-            clique = found
+            packing = [solver.masks[v] for v in mask_indices(found)]
             break
         ub -= 1
-    return sorted((solver.masks[v] for v in mask_indices(clique)), key=mask_indices)
+    return sorted(packing, key=mask_indices)
 
 
 def _index_mask(indices: Iterable[int]) -> int:
@@ -583,12 +581,8 @@ def max_disjoint_groups(
     Which maximum packing is returned is not part of the contract."""
     if code.n > PACKING_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds packing guard {PACKING_MAX_NODES}")
-    if not 0 <= target < code.n:
-        raise DimensionMismatch("target index out of range")
-    cols = code_columns(code)
-    packing = _max_packing(
-        _group_table(cols, _checked_size(max_size))[target], _projection_bound(cols, target, code.k)
-    )
+    groups = _groups_of(code, target, max_size)
+    packing = _max_packing(groups, _projection_bound(code_columns(code), target, code.k))
     return len(packing), [RepairGroup(target, frozenset(mask_indices(g))) for g in packing]
 
 
@@ -618,19 +612,14 @@ def locality(code: LinearCode) -> int:
     cols = code_columns(code)
     worst = 0
     for node in range(code.n):
-        gamma = None
-        for cap in (2, MAX_GROUP_SIZE):
-            groups = _group_table(cols, cap)[node]
-            if groups:
-                gamma = groups[0].bit_count()
-                break
-        if gamma is None:
-            others = [cols[j] for j in range(code.n) if j != node]
-            spanned = len(reduce_rows(others[:], code.k))
-            if spanned == len(reduce_rows(others + [cols[node]], code.k)):
+        groups = _group_table(cols, 2)[node] or _group_table(cols, MAX_GROUP_SIZE)[node]
+        if not groups:
+            # the generator has full row rank, so the other columns reach
+            # rank k exactly when the node lies in their span
+            if full_rank_on_live(cols, 1 << node, code.k):
                 raise InvalidBound(f"node {node}: no repair group within size {MAX_GROUP_SIZE}")
             raise LocalityUndefined(f"node {node} is independent of all other nodes")
-        worst = max(worst, gamma)
+        worst = max(worst, groups[0].bit_count())
     return worst
 
 
@@ -649,44 +638,26 @@ def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]
     """
     out = []
     for groups in _group_table(cols, _checked_size(r)):
-        packing: list[int] = []
-        rest: list[int] = []
-        used = 0
-        for mask in groups:
-            if mask & used:
-                rest.append(mask)
-            else:
-                packing.append(mask)
-                used |= mask
+        packing, rest = _first_fit(groups)
         out.append(tuple(packing + rest))
     return tuple(out)
-
-
-def parallel_group_for(
-    cols: tuple[int, ...], target: int, erased_mask: int, r: int
-) -> tuple[int, ...] | None:
-    """First all-live minimal group of size <= r for target, if any."""
-    for mask in parallel_table(cols, r)[target]:
-        if not mask & erased_mask:
-            return mask_indices(mask)
-    return None
 
 
 def parallel_repair_plan(
     code: LinearCode, pattern: ErasurePattern, r: int
 ) -> RepairPlan | RepairFailure:
-    """One all-live repair group of size <= r per erased node, independently."""
-    _checked_size(r)
-    cols = code_columns(code)
+    """One all-live repair group of size <= r per erased node, independently:
+    the first in its parallel_table order."""
+    table = parallel_table(code_columns(code), r)
     erased_mask = _index_mask(pattern.erased)
     steps: list[RepairStep] = []
     unrepaired: list[int] = []
     for target in pattern.erased_sorted():
-        group = parallel_group_for(cols, target, erased_mask, r)
+        group = next((mask for mask in table[target] if not mask & erased_mask), None)
         if group is None:
             unrepaired.append(target)
         else:
-            steps.append(RepairStep(target, group, len(steps)))
+            steps.append(RepairStep(target, mask_indices(group), len(steps)))
     if unrepaired:
         return RepairFailure(ErasurePattern(pattern.n, frozenset(unrepaired)), tuple(steps))
     return RepairPlan(tuple(steps), "parallel", r)

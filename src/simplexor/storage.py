@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codes import LinearCode, parse_code_id
+from .codes import InvalidCodeId, LinearCode, parse_code_id
 from .gf2 import BitMatrix, reduce_rows
 from .repair import (
     ErasurePattern,
@@ -193,7 +193,10 @@ def _code_for_id(code_id: str) -> LinearCode:
 
 
 def _resolve_code(manifest: ShardManifest) -> LinearCode:
-    code = _code_for_id(manifest.code)
+    try:
+        code = _code_for_id(manifest.code)
+    except InvalidCodeId as exc:
+        raise StorageError(f"manifest code: {exc}") from exc
     if code.n != manifest.n:
         raise StorageError(f"manifest n={manifest.n} does not match code {manifest.code}")
     if code.generator.rows != manifest.fragment_count():

@@ -131,11 +131,25 @@ def test_corrupt_shard_is_decoded_around_and_rewritten(tmp_path, capsys):
         lambda doc: {**doc, "checksums": doc["checksums"][:3]},
         lambda doc: {**doc, "format_version": 99},
         lambda doc: {**doc, "payload_length": 10**6},
+        lambda doc: {**doc, "code": "bogus:3"},
+        lambda doc: {**doc, "code": "simplex:0"},
         None,
     ],
-    ids=["missing-key", "three-checksums", "format-version-99", "oversized-payload", "not-json"],
+    ids=["missing-key", "three-checksums", "format-version-99", "oversized-payload",
+         "unknown-code", "out-of-range-code", "not-json"],
 )
 def test_decode_rejects_tampered_manifest(tmp_path, capsys, tamper):
+    shard_dir = _tampered_object(tmp_path, capsys, tamper)
+    status, _, err = run(capsys, "decode", "--dir", str(shard_dir),
+                         "--out", str(tmp_path / "r.bin"))
+    assert status == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "r.bin").exists()
+
+
+def _tampered_object(tmp_path, capsys, tamper):
+    """A simplex:3 object of 1000 zero bytes whose manifest tamper rewrote,
+    or made invalid JSON when tamper is None."""
     payload = tmp_path / "p.bin"
     payload.write_bytes(bytes(1000))
     shard_dir = tmp_path / "s"
@@ -145,11 +159,18 @@ def test_decode_rejects_tampered_manifest(tmp_path, capsys, tamper):
         manifest.write_text("not json {")
     else:
         manifest.write_text(json.dumps(tamper(json.loads(manifest.read_text()))))
-    status, _, err = run(capsys, "decode", "--dir", str(shard_dir),
-                         "--out", str(tmp_path / "r.bin"))
+    return shard_dir
+
+
+@pytest.mark.parametrize("code", ["bogus:3", "simplex:0"])
+def test_repair_rejects_a_manifest_with_an_unknown_code(tmp_path, capsys, code):
+    shard_dir = _tampered_object(tmp_path, capsys, lambda doc: {**doc, "code": code})
+    (shard_dir / "shard_0000.bin").unlink()
+    status, out, err = run(capsys, "repair", "--dir", str(shard_dir), "--missing", "0")
     assert status == 1
-    assert err.startswith("error: ")
-    assert not (tmp_path / "r.bin").exists()
+    assert err.startswith("error: ") and code in err
+    assert out == ""
+    assert not (shard_dir / "shard_0000.bin").exists()
 
 
 def test_repair_code_mismatch_is_usage_error(tmp_path, capsys):

@@ -577,6 +577,18 @@ def test_locality_undefined_for_independent_columns():
         locality(code)
 
 
+def test_locality_three_comes_from_the_cap_six_table():
+    # e1, e2, e3, e1+e2+e3: no pair XORs to a column, each node's group is the other three
+    assert locality(_columns_code((1, 2, 4, 7), 3)) == 3
+
+
+def test_locality_rejects_a_node_whose_groups_all_exceed_the_size_bound():
+    # e1..e7 plus their sum: every node's only group has 7 helpers
+    code = _columns_code((*(1 << i for i in range(7)), 127), 7)
+    with pytest.raises(InvalidBound, match="node 0: no repair group within size 6"):
+        locality(code)
+
+
 @pytest.mark.parametrize(
     "code",
     [simplex_code(3), c1_code(4), c2_code(4), um_block_code(2, 1)],

@@ -325,6 +325,87 @@ def test_encode_decode_repair_match_the_column_rule(code, payload, data):
     assert result.shards == tuple(shards[j] for j in sorted(erased))
 
 
+_CODE_ID_PIECES = st.one_of(
+    st.sampled_from(["simplex", "c1", "c2", "um", "c0", "umx", "um2p4", "bogus"]),
+    st.integers(-1, 5).map(str),
+    st.text("abcxyz _-", max_size=4),
+)
+# one JSON value of each type but int
+_WRONG_TYPES = (None, True, 1.5, "7", [7], {"7": 7})
+
+
+def _another_code_of_the_same_shape(manifest: storage.ShardManifest, code_id: str) -> bool:
+    """True iff code_id names a different generator with the manifest's n
+    and fragment count: the manifest holds no payload digest, so such an
+    id decodes to other bytes without any error."""
+    try:
+        other = parse_code_id(code_id)
+    except ValueError:
+        return False
+    return (other.n == manifest.n and other.generator.rows == manifest.fragment_count()
+            and other.generator != parse_code_id(manifest.code).generator)
+
+
+@given(
+    st.sampled_from(["simplex:2", "simplex:3", "c1:3", "c2:3", "um:2:1", "um2p4"]),
+    st.binary(min_size=1, max_size=64),
+    st.sampled_from(["flip", "truncate", "delete", "drop-key", "add-key", "mistype-key", "code"]),
+    st.data(),
+)
+def test_one_injected_fault_gives_the_exact_payload_or_a_storage_error(code_id, payload, fault, data):
+    """One shard or manifest fault: decode returns the exact payload and
+    repair the exact shards, or each raises StorageError."""
+    manifest, shards = encode_object(parse_code_id(code_id), payload)
+    doc = json.loads(manifest_to_json(manifest))
+    available = list(shards)
+    i = data.draw(st.integers(0, manifest.n - 1), label="shard")
+    if fault == "flip":
+        bit = data.draw(st.integers(0, 8 * manifest.fragment_length - 1), label="bit")
+        flipped = bytearray(shards[i].data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        available[i] = Shard(i, bytes(flipped))
+    elif fault == "truncate":
+        cut = data.draw(st.integers(0, manifest.fragment_length - 1), label="length")
+        available[i] = Shard(i, shards[i].data[:cut])
+    elif fault == "delete":
+        del available[i]
+    elif fault == "add-key":
+        doc[data.draw(st.text(max_size=8).filter(lambda key: key not in doc), label="key")] = 0
+    else:
+        key = "code" if fault == "code" else data.draw(st.sampled_from(sorted(doc)), label="key")
+        if fault == "drop-key":
+            del doc[key]
+        elif fault == "mistype-key":
+            doc[key] = data.draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(doc[key])]))
+        else:
+            doc[key] = ":".join(data.draw(st.lists(_CODE_ID_PIECES, max_size=3), label="code"))
+    try:
+        tampered = manifest_from_json(json.dumps(doc))
+    except StorageError:
+        return
+    try:
+        got = decode_object(tampered, available)
+    except StorageError:
+        pass
+    else:
+        # the same-shape case is the known gap xfailed below
+        assert got == payload or _another_code_of_the_same_shape(manifest, doc["code"])
+    try:
+        result = repair_shards(tampered, available, ())
+    except StorageError:
+        return
+    assert all(sh == shards[sh.index] for sh in result.shards)
+
+
+@pytest.mark.xfail(strict=True, reason="the manifest holds no payload digest")
+def test_a_code_id_swapped_for_one_of_the_same_shape_is_caught():
+    payload = bytes(range(1, 31))
+    manifest, shards = encode_object(parse_code_id("simplex:3"), payload)
+    swapped = dataclasses.replace(manifest, code="c2:3")
+    with pytest.raises(StorageError):
+        decode_object(swapped, shards)  # returns other bytes of the payload's length
+
+
 def test_decode_converts_each_shard_at_most_once(monkeypatch):
     """um:2:3 with {0, 13} erased names 8 distinct shards 25 times in the
     recipe's XORs of two or more shards; each is converted to an int once."""
