@@ -32,6 +32,7 @@ from .codes import (
 )
 from .gf2 import TooLarge, min_weight_nonzero_rowspan
 from .repair import (
+    _group_table,
     code_columns,
     easy_closure_for_mask,
     easy_steps,
@@ -183,11 +184,12 @@ def _parallel_ok(tables, erased_mask, erased) -> bool:
     return True
 
 
-def _easy_verdict(cols, k, mask):
-    """None for an uncorrectable pattern, else whether easy repair recovers it."""
+def _easy_verdict(cols, k, pairs, mask):
+    """None for an uncorrectable pattern, else whether easy repair over the
+    size-<=2 group table pairs recovers it."""
     if not full_rank_on_live(cols, mask, k):
         return None
-    return easy_closure_for_mask(cols, mask)
+    return easy_closure_for_mask(pairs, mask)
 
 
 def _walk(cols, k, pairs, e, lo, hi):
@@ -196,9 +198,10 @@ def _walk(cols, k, pairs, e, lo, hi):
 
     The parent of E + {i}, i above every index of E, is E; the child keeps
     E's verdict in two cases.  E is uncorrectable: a superset's live
-    columns span less.  Or pairs[i] (``parallel_table(cols, 2)[i]``) has a
-    group disjoint from E + {i}: that replica or XOR pair is live, so i is
-    in the easy closure of the child's live set L - {i}.  The closure is
+    columns span less.  Or pairs[i], node i's row of the size-<=2 group
+    table that the closure reads (``_group_table(cols, 2)``), has a group
+    disjoint from E + {i}: that replica or XOR pair is live, so i is in the
+    easy closure of the child's live set L - {i}.  The closure is
     monotone and idempotent, so closure(L - {i}) = closure(L); and
     span(L - {i}) = span(L), as it holds column i.  Correctability reads
     the span and easy repair the closure.  Otherwise the child gets its own
@@ -210,7 +213,7 @@ def _walk(cols, k, pairs, e, lo, hi):
     bits = [1 << j for j in range(n)]
     tops = range(n - e, n)  # the largest index each position can hold
     masks = [0] * (e + 1)
-    verdicts = [_easy_verdict(cols, k, 0)] * (e + 1)
+    verdicts = [_easy_verdict(cols, k, pairs, 0)] * (e + 1)
     d = 0
     for erased in islice(combinations(range(n), e), lo, hi):
         for d in range(d, e):
@@ -223,7 +226,7 @@ def _walk(cols, k, pairs, e, lo, hi):
                     if not g & mask:
                         break
                 else:
-                    ok = _easy_verdict(cols, k, mask)
+                    ok = _easy_verdict(cols, k, pairs, mask)
             verdicts[d + 1] = ok
         yield masks[e], verdicts[e]
         # the next tuple first differs at the last position below its top
@@ -256,12 +259,12 @@ def _walk_chunk(cols, k, pairs, e, lo, hi):
     return _tally(_walk(cols, k, pairs, e, lo, hi))
 
 
-def _sampled_chunk(cols, k, seed, lo, hi):
+def _sampled_chunk(cols, k, pairs, seed, lo, hi):
     """Easy repair of the mask drawn for each trial index in [lo, hi)."""
     n = len(cols)
     rng = random.Random()
     masks = (rng.seed(trial_seed(seed, i)) or rng.getrandbits(n) for i in range(lo, hi))
-    return _tally((mask, _easy_verdict(cols, k, mask)) for mask in masks)
+    return _tally((mask, _easy_verdict(cols, k, pairs, mask)) for mask in masks)
 
 
 def _parallel_chunk(table, source, *args):
@@ -303,14 +306,15 @@ def verify_easy_repair_property(
         total = sum(comb(n, e) for e in range(cap + 1))
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"{total} patterns exceeds the sweep guard")
-        pairs = parallel_table(cols, 2)
+        pairs = _group_table(cols, 2)
         chunks = [partial(_walk_chunk, cols, k, pairs, e, lo, hi)
                   for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
         checked = "easy-repair exhaustive"
         if mode.max_erasures is not None:
             checked += f" <={mode.max_erasures} erasures"
     else:
-        chunks = [partial(_sampled_chunk, cols, k, mode.seed, lo, hi)
+        pairs = _group_table(cols, 2)
+        chunks = [partial(_sampled_chunk, cols, k, pairs, mode.seed, lo, hi)
                   for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
     least = isinstance(mode, Exhaustive) and mode.max_erasures is None
@@ -492,14 +496,14 @@ class SimulationReport:
     mean_xors_per_repaired_node: float
 
 
-def _sim_chunk(cols, k, tables, e, seed, lo, hi):
+def _sim_chunk(cols, k, pairs, tables, e, seed, lo, hi):
     """Counts over trials [lo, hi): correctable, easy-repaired, XORs and
     nodes of the easy repairs, then parallel repairs per table (one per r)."""
     counts = [0] * (4 + len(tables))
     for emask, erased in _sampled_subsets(len(cols), e, seed, lo, hi):
         if full_rank_on_live(cols, emask, k):
             counts[0] += 1
-            steps, remaining = easy_steps(cols, list(erased))
+            steps, remaining = easy_steps(pairs, erased)
             if not remaining:
                 counts[1] += 1
                 counts[2] += sum(len(h) - 1 for _, h in steps)
@@ -525,8 +529,8 @@ def monte_carlo_repair(
     if not 0 <= erasures <= code.n:
         raise ValueError("erasure count out of range")
     cols = code_columns(code)
-    tables = tuple(parallel_table(cols, r) for r in r_values)
-    chunks = [partial(_sim_chunk, cols, code.k, tables, erasures, seed, lo, hi)
+    pairs, tables = _group_table(cols, 2), tuple(parallel_table(cols, r) for r in r_values)
+    chunks = [partial(_sim_chunk, cols, code.k, pairs, tables, erasures, seed, lo, hi)
               for lo, hi in _ranges(trials, workers * 4)]
     correctable, easy_ok, xor_total, nodes_total, *par_ok = map(
         sum, zip(*_run_chunks(chunks, workers)))

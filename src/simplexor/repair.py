@@ -128,61 +128,32 @@ def is_correctable(code: LinearCode, pattern: ErasurePattern) -> bool:
     return full_rank_on_live(code_columns(code), _index_mask(pattern.erased), code.k)
 
 
-def _scan_easy_helper(
-    cols: Sequence[int],
-    target: int,
-    avail_sorted: Sequence[int],
-    avail_by_val: dict[int, list[int]],
-) -> tuple[int, ...] | None:
-    tcol = cols[target]
-    same = avail_by_val.get(tcol)
-    if same:
-        return (same[0],)
-    for j in avail_sorted:
-        partners = avail_by_val.get(tcol ^ cols[j])
-        if not partners:
-            continue
-        m = partners[0]
-        if m == j:
-            if len(partners) < 2:
-                continue
-            m = partners[1]
-        return (j, m) if j < m else (m, j)
-    return None
-
-
 def easy_steps(
-    cols: Sequence[int], erased: list[int]
+    pairs: Sequence[Sequence[int]], erased: Iterable[int]
 ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """Low-level greedy sequential easy repair.
+    """Greedy sequential easy repair over pairs, the size-<=2 group table
+    ``_group_table(cols, 2)``.
 
     Returns (steps, remaining) where each step is (target, helpers) and
-    remaining lists the erased nodes the greedy loop could not progress.
-    The scan order is deterministic: erased nodes ascending, helper search
-    over available nodes ascending, replication preferred over an XOR pair,
-    outer scan restarted after every repair.
+    remaining lists the erased nodes the loop could not progress.  The
+    lowest erased node with a group that misses every still-erased node
+    is repaired by the first such group, so a replica comes before an XOR
+    pair and the pair is the lex-first one; then the scan restarts.
     """
-    n = len(cols)
-    erased_set = set(erased)
-    avail_sorted = [j for j in range(n) if j not in erased_set]
-    by_val: dict[int, list[int]] = {}
-    for j in avail_sorted:
-        by_val.setdefault(cols[j], []).append(j)
-    remaining = sorted(erased_set)
+    remaining = sorted(erased)
+    erased_mask = _index_mask(remaining)
     steps: list[tuple[int, tuple[int, ...]]] = []
     progress = True
-    while remaining and progress:
+    while progress:
         progress = False
         for target in remaining:
-            helpers = _scan_easy_helper(cols, target, avail_sorted, by_val)
-            if helpers is None:
-                continue
-            steps.append((target, helpers))
-            remaining.remove(target)
-            bisect.insort(avail_sorted, target)
-            bisect.insort(by_val.setdefault(cols[target], []), target)
-            progress = True
-            break
+            group = next((g for g in pairs[target] if not g & erased_mask), None)
+            if group is not None:
+                steps.append((target, mask_indices(group)))
+                remaining.remove(target)
+                erased_mask ^= 1 << target
+                progress = True
+                break
     return tuple(steps), tuple(remaining)
 
 
@@ -194,8 +165,7 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     theorem violation when the input was correctable and the family
     guarantees easy repair.
     """
-    cols = code_columns(code)
-    raw_steps, remaining = easy_steps(cols, list(pattern.erased))
+    raw_steps, remaining = easy_steps(_group_table(code_columns(code), 2), pattern.erased)
     steps = tuple(RepairStep(t, h, i) for i, (t, h) in enumerate(raw_steps))
     if remaining:
         residual = ErasurePattern(pattern.n, frozenset(remaining))
@@ -205,43 +175,24 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     return RepairPlan(steps, "sequential", r_bound)
 
 
-def easy_closure_for_mask(cols: Sequence[int], erased_mask: int) -> bool:
-    """Verdict-only sequential easy repair; order-free (the closure is unique).
-
-    Tracks only column-value multiplicities: a target is repairable once
-    some available value equals it (replication) or two distinct available
-    nodes XOR to it, and every repair adds the target's value to the pool.
-    """
-    avail: dict[int, int] = {}
-    pending: list[int] = []
-    for j, c in enumerate(cols):
-        if (erased_mask >> j) & 1:
-            pending.append(c)
-        else:
-            avail[c] = avail.get(c, 0) + 1
-    changed = True
-    while pending and changed:
-        changed = False
-        still: list[int] = []
+def easy_closure_for_mask(pairs: Sequence[Sequence[int]], erased_mask: int) -> bool:
+    """Verdict-only easy repair over the size-<=2 group table pairs: an
+    erased node is cleared once one of its groups misses the erased mask,
+    until a pass clears none.  Order-free, as the closure is unique."""
+    pending = mask_indices(erased_mask)
+    while pending:
+        still = []
         for t in pending:
-            if avail.get(t):
-                avail[t] += 1
-                changed = True
-                continue
-            for v in avail:
-                w = t ^ v
-                if w == v:
-                    if avail[v] >= 2:
-                        break
-                elif avail.get(w):
+            for g in pairs[t]:
+                if not g & erased_mask:
+                    erased_mask ^= 1 << t
                     break
             else:
                 still.append(t)
-                continue
-            avail[t] = avail.get(t, 0) + 1
-            changed = True
+        if len(still) == len(pending):
+            return False
         pending = still
-    return not pending
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,12 @@ def _encode_steps(generator: BitMatrix) -> tuple[tuple[int, tuple[int, ...]], ..
                  for j, col in enumerate(generator.columns_bits()))
 
 
+def _block_shape(code: LinearCode) -> tuple[int, int | None]:
+    """The manifest's (k, s): a stream code records its block dimension and
+    horizon."""
+    return (code.k if code.s is None else code.base_k), code.s
+
+
 def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
     """Split the payload into zero-padded fragments, one per generator row,
     and emit one shard per node: the XOR of the fragments in its column."""
@@ -177,8 +183,7 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         format_version=FORMAT_VERSION,
         code=code.code_id,
         n=n,
-        # a stream code records its block dimension and horizon
-        k=code.k if code.s is None else code.base_k,
+        k=_block_shape(code)[0],
         s=code.s,
         payload_length=len(payload),
         fragment_length=frag_len,
@@ -199,8 +204,9 @@ def _resolve_code(manifest: ShardManifest) -> LinearCode:
         raise StorageError(f"manifest code: {exc}") from exc
     if code.n != manifest.n:
         raise StorageError(f"manifest n={manifest.n} does not match code {manifest.code}")
-    if code.generator.rows != manifest.fragment_count():
-        raise StorageError("manifest fragment count does not match code dimension")
+    if (manifest.k, manifest.s) != _block_shape(code):
+        raise StorageError(
+            f"manifest k={manifest.k}, s={manifest.s} does not match code {manifest.code}")
     return code
 
 

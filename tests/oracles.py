@@ -7,7 +7,8 @@ speed; nothing in ``simplexor`` calls them.
 
 from __future__ import annotations
 
-from typing import Iterable
+import bisect
+from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode
 from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows
@@ -93,3 +94,57 @@ def encode_by_columns(generator: BitMatrix, payload: bytes) -> list[bytes]:
         xor_bytes((frags[i] for i in range(k) if (generator.row_bits[i] >> j) & 1), frag_len)
         for j in range(generator.cols)
     ]
+
+
+def _easy_helper_by_value(
+    cols: Sequence[int], target: int, live: Sequence[int], live_by_value: dict[int, list[int]]
+) -> tuple[int, ...] | None:
+    """The lowest live replica of the target's column, else the lex-first
+    live pair whose columns XOR to it, else None."""
+    tcol = cols[target]
+    same = live_by_value.get(tcol)
+    if same:
+        return (same[0],)
+    for j in live:
+        partners = live_by_value.get(tcol ^ cols[j])
+        if not partners:
+            continue
+        m = partners[0]
+        if m == j:
+            if len(partners) < 2:
+                continue
+            m = partners[1]
+        return (j, m) if j < m else (m, j)
+    return None
+
+
+def easy_steps_by_value(
+    cols: Sequence[int], erased: Iterable[int]
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """Greedy sequential easy repair by column values, without repair groups.
+
+    Returns (steps, remaining) as ``repair.easy_steps`` does: the lowest
+    erased node with a live replica or live XOR pair is repaired, joins the
+    live nodes, and the scan restarts.
+    """
+    erased_set = set(erased)
+    live = [j for j in range(len(cols)) if j not in erased_set]
+    by_value: dict[int, list[int]] = {}
+    for j in live:
+        by_value.setdefault(cols[j], []).append(j)
+    remaining = sorted(erased_set)
+    steps: list[tuple[int, tuple[int, ...]]] = []
+    progress = True
+    while remaining and progress:
+        progress = False
+        for target in remaining:
+            helpers = _easy_helper_by_value(cols, target, live, by_value)
+            if helpers is None:
+                continue
+            steps.append((target, helpers))
+            remaining.remove(target)
+            bisect.insort(live, target)
+            bisect.insort(by_value.setdefault(cols[target], []), target)
+            progress = True
+            break
+    return tuple(steps), tuple(remaining)

@@ -133,10 +133,11 @@ def test_corrupt_shard_is_decoded_around_and_rewritten(tmp_path, capsys):
         lambda doc: {**doc, "payload_length": 10**6},
         lambda doc: {**doc, "code": "bogus:3"},
         lambda doc: {**doc, "code": "simplex:0"},
+        lambda doc: {**doc, "k": 1, "s": 2},
         None,
     ],
     ids=["missing-key", "three-checksums", "format-version-99", "oversized-payload",
-         "unknown-code", "out-of-range-code", "not-json"],
+         "unknown-code", "out-of-range-code", "k-and-s-of-another-code", "not-json"],
 )
 def test_decode_rejects_tampered_manifest(tmp_path, capsys, tamper):
     shard_dir = _tampered_object(tmp_path, capsys, tamper)

@@ -37,12 +37,12 @@ from simplexor.metrics import (
 )
 from simplexor.repair import (
     InvalidBound,
+    _group_table,
     code_columns,
     easy_closure_for_mask,
     full_rank_on_live,
     locality,
     max_disjoint_groups,
-    parallel_table,
 )
 
 
@@ -277,6 +277,7 @@ def _reference_easy_sweep(code, cap=None):
     the e-subsets in (e, lex) order; the counterexample is the first
     failure in that order."""
     cols, n = code_columns(code), code.n
+    pairs = _group_table(cols, 2)
     if cap is None:
         patterns = range(1 << n)
         checked = "easy-repair exhaustive"
@@ -291,7 +292,7 @@ def _reference_easy_sweep(code, cap=None):
         if not full_rank_on_live(cols, mask, code.k):
             continue
         correctable += 1
-        if easy_closure_for_mask(cols, mask):
+        if easy_closure_for_mask(pairs, mask):
             repaired += 1
         elif counterexample is None:
             counterexample = tuple(j for j in range(n) if mask >> j & 1)
@@ -379,7 +380,7 @@ def _correctable_counts(code):
 )
 def test_walk_counts_match_the_critical_theorem(code):
     cols = code_columns(code)
-    pairs = parallel_table(cols, 2)
+    pairs = _group_table(cols, 2)
     per_e = [metrics._walk_chunk(cols, code.k, pairs, e, 0, comb(code.n, e))[1]
              for e in range(code.n + 1)]
     assert per_e == _correctable_counts(code)
@@ -395,12 +396,17 @@ def test_walk_count_of_um22_up_to_six_erasures():
 def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     code = um_block_code(2, 1)
     built = []
-    table = metrics.parallel_table
+    table, pairs, run = metrics.parallel_table, metrics._group_table, metrics._run_chunks
     monkeypatch.setattr(metrics, "parallel_table", lambda cols, r: built.append(r) or table(cols, r))
+    monkeypatch.setattr(metrics, "_group_table",
+                        lambda cols, cap: built.append(f"pairs{cap}") or pairs(cols, cap))
+    monkeypatch.setattr(metrics, "_run_chunks",
+                        lambda chunks, workers: built.append("chunks") or run(chunks, workers))
     verify_parallel_capacity(code, 3, 4, Sampled(seed=1, trials=200))
     monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
     verify_easy_repair_property(code, Exhaustive(max_erasures=4))
-    assert built == [3, 2, 3, 2]
+    verify_easy_repair_property(code, Sampled(seed=1, trials=200))
+    assert built == [3, "chunks", "pairs2", 2, 3, "chunks", "pairs2", "chunks", "pairs2", "chunks"]
 
     def no_chunks(specs, workers):
         raise AssertionError("a chunk ran")
@@ -579,14 +585,14 @@ def test_sampled_chunks_draw_what_a_generator_per_trial_draws(monkeypatch, cuts)
     random.Random(trial_seed(seed, i)) per trial, wherever chunks are cut."""
     seed, n, e = 20260808, 70, 11
     drawn = []
-    monkeypatch.setattr(metrics, "_easy_verdict", lambda cols, k, mask: drawn.append(mask))
+    monkeypatch.setattr(metrics, "_easy_verdict", lambda cols, k, pairs, mask: drawn.append(mask))
     for lo, hi in zip(cuts, cuts[1:]):
         fresh = [random.Random(trial_seed(seed, i)) for i in range(lo, hi)]
         erased = [tuple(sorted(rng.sample(range(n), e))) for rng in fresh]
         assert list(metrics._sampled_subsets(n, e, seed, lo, hi)) == [
             (sum(1 << j for j in x), x) for x in erased]
         drawn.clear()
-        metrics._sampled_chunk((1,) * n, 1, seed, lo, hi)
+        metrics._sampled_chunk((1,) * n, 1, None, seed, lo, hi)
         assert drawn == [random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi)]
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import codeword, is_correctable_via_parity
+from oracles import codeword, easy_steps_by_value, is_correctable_via_parity
 from simplexor.codes import (
     LinearCode,
     c1_code,
@@ -26,6 +26,7 @@ from simplexor.repair import (
     code_columns,
     easy_closure_for_mask,
     easy_repair_plan,
+    easy_steps,
     enumerate_repair_groups,
     format_plan,
     is_correctable,
@@ -191,7 +192,8 @@ def test_easy_closure_verdict_matches_plan(code, bits):
     mask = bits & ((1 << code.n) - 1)
     pattern = _pattern(code, [j for j in range(code.n) if (mask >> j) & 1])
     plan = easy_repair_plan(code, pattern)
-    assert easy_closure_for_mask(code_columns(code), mask) == isinstance(plan, RepairPlan)
+    pairs = _group_table(code_columns(code), 2)
+    assert easy_closure_for_mask(pairs, mask) == isinstance(plan, RepairPlan)
 
 
 def test_parallel_plan_within_capability():
@@ -310,6 +312,27 @@ def test_minimal_groups_match_brute_force_on_random_columns(cols, cap):
     table = _group_table(cols, cap)
     for target in range(len(cols)):
         assert [mask_indices(g) for g in table[target]] == _brute_force_groups(cols, target, cap)
+
+
+@st.composite
+def columns_with_units(draw):
+    """At most 14 columns of 1 to 5 rows: random ones, a unit column, one or
+    two repeats of those and a zero column, shuffled."""
+    k = draw(st.integers(1, 5))
+    base = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=10))
+    base.append(1 << draw(st.integers(0, k - 1)))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=2))
+    return tuple(draw(st.permutations(base + copies + [0])))
+
+
+@given(columns_with_units(), st.data())
+def test_easy_repair_over_the_group_table_matches_the_value_scan(cols, data):
+    erased_mask = data.draw(st.integers(0, (1 << len(cols)) - 1))
+    erased = mask_indices(erased_mask)
+    pairs = _group_table(cols, 2)
+    expected = easy_steps_by_value(cols, erased)
+    assert easy_steps(pairs, erased) == expected
+    assert easy_closure_for_mask(pairs, erased_mask) == (not expected[1])
 
 
 @st.composite

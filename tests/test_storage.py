@@ -111,9 +111,22 @@ def test_cached_code_resolution_still_checks_each_manifest(monkeypatch):
         decode_object(wrong_n, shards)
     with pytest.raises(StorageError, match="does not match code"):
         repair_shards(wrong_n, shards[1:], {0})
-    with pytest.raises(StorageError, match="fragment count"):
+    with pytest.raises(StorageError, match="does not match code"):
         decode_object(dataclasses.replace(manifest, k=2), shards)
     storage._code_for_id.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "code_id, k, s", [("c1:6", 2, 2), ("c1:6", -3, -3), ("um:2:2", 6, None), ("simplex:3", 1, 2)]
+)
+def test_a_manifest_whose_k_and_s_contradict_its_code_id_is_rejected(code_id, k, s):
+    """Each pair keeps the fragment count, (s + 1) * k, of what encode wrote."""
+    manifest, shards = encode_object(parse_code_id(code_id), b"k and s come from the code id")
+    wrong = dataclasses.replace(manifest, k=k, s=s)
+    with pytest.raises(StorageError, match="does not match code"):
+        decode_object(wrong, shards)
+    with pytest.raises(StorageError, match="does not match code"):
+        repair_shards(wrong, shards[1:], {0})
 
 
 def test_repair_hard_pattern_uses_only_easy_steps():
