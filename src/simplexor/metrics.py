@@ -529,7 +529,8 @@ def monte_carlo_repair(
     if not 0 <= erasures <= code.n:
         raise ValueError("erasure count out of range")
     cols = code_columns(code)
-    pairs, tables = _group_table(cols, 2), tuple(parallel_table(cols, r) for r in r_values)
+    pairs = _group_table(cols, 2)
+    tables = tuple(parallel_table(cols, r) for r in r_values)
     chunks = [partial(_sim_chunk, cols, code.k, pairs, tables, erasures, seed, lo, hi)
               for lo, hi in _ranges(trials, workers * 4)]
     correctable, easy_ok, xor_total, nodes_total, *par_ok = map(

@@ -159,10 +159,10 @@ def _encode_steps(generator: BitMatrix) -> tuple[tuple[int, tuple[int, ...]], ..
                  for j, col in enumerate(generator.columns_bits()))
 
 
-def _block_shape(code: LinearCode) -> tuple[int, int | None]:
-    """The manifest's (k, s): a stream code records its block dimension and
-    horizon."""
-    return (code.k if code.s is None else code.base_k), code.s
+def _manifest_k(code: LinearCode) -> int:
+    """The manifest's k: a stream code records its block dimension (and its
+    horizon as s)."""
+    return code.k if code.s is None else code.base_k
 
 
 def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
@@ -183,7 +183,7 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         format_version=FORMAT_VERSION,
         code=code.code_id,
         n=n,
-        k=_block_shape(code)[0],
+        k=_manifest_k(code),
         s=code.s,
         payload_length=len(payload),
         fragment_length=frag_len,
@@ -204,7 +204,7 @@ def _resolve_code(manifest: ShardManifest) -> LinearCode:
         raise StorageError(f"manifest code: {exc}") from exc
     if code.n != manifest.n:
         raise StorageError(f"manifest n={manifest.n} does not match code {manifest.code}")
-    if (manifest.k, manifest.s) != _block_shape(code):
+    if (manifest.k, manifest.s) != (_manifest_k(code), code.s):
         raise StorageError(
             f"manifest k={manifest.k}, s={manifest.s} does not match code {manifest.code}")
     return code

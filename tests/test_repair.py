@@ -325,9 +325,9 @@ def columns_with_units(draw):
     return tuple(draw(st.permutations(base + copies + [0])))
 
 
-@given(columns_with_units(), st.data())
-def test_easy_repair_over_the_group_table_matches_the_value_scan(cols, data):
-    erased_mask = data.draw(st.integers(0, (1 << len(cols)) - 1))
+@given(columns_with_units(), st.integers(0, (1 << 14) - 1))
+def test_easy_repair_over_the_group_table_matches_the_value_scan(cols, bits):
+    erased_mask = bits & ((1 << len(cols)) - 1)
     erased = mask_indices(erased_mask)
     pairs = _group_table(cols, 2)
     expected = easy_steps_by_value(cols, erased)
