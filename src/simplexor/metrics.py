@@ -32,10 +32,10 @@ from .codes import (
 )
 from .gf2 import TooLarge, min_weight_nonzero_rowspan
 from .repair import (
-    _group_table,
     code_columns,
     easy_closure_for_mask,
     easy_steps,
+    easy_table,
     full_rank_on_live,
     mask_indices,
     max_disjoint_groups,
@@ -199,7 +199,7 @@ def _walk(cols, k, pairs, e, lo, hi):
     The parent of E + {i}, i above every index of E, is E; the child keeps
     E's verdict in two cases.  E is uncorrectable: a superset's live
     columns span less.  Or pairs[i], node i's row of the size-<=2 group
-    table that the closure reads (``_group_table(cols, 2)``), has a group
+    table that the closure reads (``easy_table(cols)``), has a group
     disjoint from E + {i}: that replica or XOR pair is live, so i is in the
     easy closure of the child's live set L - {i}.  The closure is
     monotone and idempotent, so closure(L - {i}) = closure(L); and
@@ -306,14 +306,14 @@ def verify_easy_repair_property(
         total = sum(comb(n, e) for e in range(cap + 1))
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"{total} patterns exceeds the sweep guard")
-        pairs = _group_table(cols, 2)
+        pairs = easy_table(cols)
         chunks = [partial(_walk_chunk, cols, k, pairs, e, lo, hi)
                   for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
         checked = "easy-repair exhaustive"
         if mode.max_erasures is not None:
             checked += f" <={mode.max_erasures} erasures"
     else:
-        pairs = _group_table(cols, 2)
+        pairs = easy_table(cols)
         chunks = [partial(_sampled_chunk, cols, k, pairs, mode.seed, lo, hi)
                   for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
@@ -529,7 +529,7 @@ def monte_carlo_repair(
     if not 0 <= erasures <= code.n:
         raise ValueError("erasure count out of range")
     cols = code_columns(code)
-    pairs = _group_table(cols, 2)
+    pairs = easy_table(cols)
     tables = tuple(parallel_table(cols, r) for r in r_values)
     chunks = [partial(_sim_chunk, cols, code.k, pairs, tables, erasures, seed, lo, hi)
               for lo, hi in _ranges(trials, workers * 4)]

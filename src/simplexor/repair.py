@@ -12,12 +12,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
 from .gf2 import BitMatrix, DimensionMismatch
 
 MAX_GROUP_SIZE = 6
+EASY_TABLE_MAX_NODES = 256
 PACKING_MAX_NODES = 96
 PROFILE_MAX_NODES = 48
 
@@ -128,11 +129,44 @@ def is_correctable(code: LinearCode, pattern: ErasurePattern) -> bool:
     return full_rank_on_live(code_columns(code), _index_mask(pattern.erased), code.k)
 
 
+class PairRows:
+    """The size-<=2 group table of cols, ``_group_table(cols, 2)``, made from
+    a value index as each row is read: row t yields the other nodes with
+    t's column, then each pair i < j of nonzero columns unequal to t's that
+    XOR to it, in lex order (for a zero column, the equal nonzero pairs)."""
+
+    def __init__(self, cols: Sequence[int]):
+        self.cols = cols
+        self.by_value: dict[int, list[int]] = {}
+        for j, c in enumerate(cols):
+            self.by_value.setdefault(c, []).append(j)
+
+    def __getitem__(self, target: int) -> Iterator[int]:
+        c = self.cols[target]
+        by_value = self.by_value
+        for j in by_value[c]:
+            if j != target:
+                yield 1 << j
+        for i, v in enumerate(self.cols):
+            if v and v != c:
+                for j in by_value.get(v ^ c, ()):
+                    if j > i:
+                        yield 1 << i | 1 << j
+
+
+def easy_table(cols: tuple[int, ...]) -> Sequence[Iterable[int]]:
+    """The size-<=2 group table that easy repair reads: whole up to
+    EASY_TABLE_MAX_NODES nodes (simplex:8, 32k masks of 255 bits), else
+    made row by row, as the whole table of simplex:10 holds 523k masks of
+    1,023 bits and that of simplex:14 134M masks of 16,383 bits."""
+    return _group_table(cols, 2) if len(cols) <= EASY_TABLE_MAX_NODES else PairRows(cols)
+
+
 def easy_steps(
-    pairs: Sequence[Sequence[int]], erased: Iterable[int]
+    pairs: Sequence[Iterable[int]], erased: Iterable[int]
 ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
     """Greedy sequential easy repair over pairs, the size-<=2 group table
-    ``_group_table(cols, 2)``.
+    ``easy_table(cols)``.
 
     Returns (steps, remaining) where each step is (target, helpers) and
     remaining lists the erased nodes the loop could not progress.  The
@@ -165,7 +199,7 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     theorem violation when the input was correctable and the family
     guarantees easy repair.
     """
-    raw_steps, remaining = easy_steps(_group_table(code_columns(code), 2), pattern.erased)
+    raw_steps, remaining = easy_steps(easy_table(code_columns(code)), pattern.erased)
     steps = tuple(RepairStep(t, h, i) for i, (t, h) in enumerate(raw_steps))
     if remaining:
         residual = ErasurePattern(pattern.n, frozenset(remaining))
@@ -175,7 +209,7 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     return RepairPlan(steps, "sequential", r_bound)
 
 
-def easy_closure_for_mask(pairs: Sequence[Sequence[int]], erased_mask: int) -> bool:
+def easy_closure_for_mask(pairs: Sequence[Iterable[int]], erased_mask: int) -> bool:
     """Verdict-only easy repair over the size-<=2 group table pairs: an
     erased node is cleared once one of its groups misses the erased mask,
     until a pass clears none.  Order-free, as the closure is unique."""

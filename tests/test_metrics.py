@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from simplexor import metrics
+from simplexor import metrics, repair
 from simplexor.codes import (
     LinearCode,
     c0_repeat_code,
@@ -37,9 +37,9 @@ from simplexor.metrics import (
 )
 from simplexor.repair import (
     InvalidBound,
-    _group_table,
     code_columns,
     easy_closure_for_mask,
+    easy_table,
     full_rank_on_live,
     locality,
     max_disjoint_groups,
@@ -277,7 +277,7 @@ def _reference_easy_sweep(code, cap=None):
     the e-subsets in (e, lex) order; the counterexample is the first
     failure in that order."""
     cols, n = code_columns(code), code.n
-    pairs = _group_table(cols, 2)
+    pairs = easy_table(cols)
     if cap is None:
         patterns = range(1 << n)
         checked = "easy-repair exhaustive"
@@ -380,7 +380,7 @@ def _correctable_counts(code):
 )
 def test_walk_counts_match_the_critical_theorem(code):
     cols = code_columns(code)
-    pairs = _group_table(cols, 2)
+    pairs = easy_table(cols)
     per_e = [metrics._walk_chunk(cols, code.k, pairs, e, 0, comb(code.n, e))[1]
              for e in range(code.n + 1)]
     assert per_e == _correctable_counts(code)
@@ -396,17 +396,16 @@ def test_walk_count_of_um22_up_to_six_erasures():
 def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     code = um_block_code(2, 1)
     built = []
-    table, pairs, run = metrics.parallel_table, metrics._group_table, metrics._run_chunks
+    table, pairs, run = metrics.parallel_table, metrics.easy_table, metrics._run_chunks
     monkeypatch.setattr(metrics, "parallel_table", lambda cols, r: built.append(r) or table(cols, r))
-    monkeypatch.setattr(metrics, "_group_table",
-                        lambda cols, cap: built.append(f"pairs{cap}") or pairs(cols, cap))
+    monkeypatch.setattr(metrics, "easy_table", lambda cols: built.append("easy") or pairs(cols))
     monkeypatch.setattr(metrics, "_run_chunks",
                         lambda chunks, workers: built.append("chunks") or run(chunks, workers))
     verify_parallel_capacity(code, 3, 4, Sampled(seed=1, trials=200))
     monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
     verify_easy_repair_property(code, Exhaustive(max_erasures=4))
     verify_easy_repair_property(code, Sampled(seed=1, trials=200))
-    assert built == [3, "chunks", "pairs2", 2, 3, "chunks", "pairs2", "chunks", "pairs2", "chunks"]
+    assert built == [3, "chunks", "easy", 2, 3, "chunks", "easy", "chunks", "easy", "chunks"]
 
     def no_chunks(specs, workers):
         raise AssertionError("a chunk ran")
@@ -416,6 +415,18 @@ def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
         verify_parallel_capacity(code, 7, 2, Sampled(seed=1, trials=10), workers=2)
     with pytest.raises(InvalidBound):
         monte_carlo_repair(code, 10, 2, seed=1, r_values=(0,), workers=2)
+
+
+def test_sampled_sweep_and_simulation_on_a_long_code_make_no_group_table(monkeypatch):
+    """simplex:12 has n = 4,095: its whole size-<=2 table would hold about
+    8.4M masks of 4,095 bits, so the sampled sweep and the simulation's
+    easy repairs read PairRows rows only."""
+    code = simplex_code(12)
+    monkeypatch.setattr(repair, "_group_table", None)
+    report = verify_easy_repair_property(code, Sampled(seed=3, trials=4), workers=2)
+    assert (report.verdict, report.patterns_examined, report.repaired) == (True, 4, 4)
+    sim = monte_carlo_repair(code, 4, 40, seed=3, r_values=())
+    assert sim.fraction_easy_repaired == 1.0
 
 
 K4_TABLE = [

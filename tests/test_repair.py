@@ -16,10 +16,12 @@ from simplexor.codes import (
 )
 from simplexor.gf2 import BitMatrix, DimensionMismatch
 from simplexor.metrics import um_census, um_node_index
+from simplexor import repair
 from simplexor.repair import (
     ErasurePattern,
     InvalidBound,
     LocalityUndefined,
+    PairRows,
     RepairFailure,
     RepairPlan,
     availability_profile,
@@ -27,6 +29,7 @@ from simplexor.repair import (
     easy_closure_for_mask,
     easy_repair_plan,
     easy_steps,
+    easy_table,
     enumerate_repair_groups,
     format_plan,
     is_correctable,
@@ -192,7 +195,7 @@ def test_easy_closure_verdict_matches_plan(code, bits):
     mask = bits & ((1 << code.n) - 1)
     pattern = _pattern(code, [j for j in range(code.n) if (mask >> j) & 1])
     plan = easy_repair_plan(code, pattern)
-    pairs = _group_table(code_columns(code), 2)
+    pairs = easy_table(code_columns(code))
     assert easy_closure_for_mask(pairs, mask) == isinstance(plan, RepairPlan)
 
 
@@ -329,10 +332,23 @@ def columns_with_units(draw):
 def test_easy_repair_over_the_group_table_matches_the_value_scan(cols, bits):
     erased_mask = bits & ((1 << len(cols)) - 1)
     erased = mask_indices(erased_mask)
-    pairs = _group_table(cols, 2)
+    table, rows = _group_table(cols, 2), PairRows(cols)
+    assert [tuple(rows[t]) for t in range(len(cols))] == list(table)
     expected = easy_steps_by_value(cols, erased)
-    assert easy_steps(pairs, erased) == expected
-    assert easy_closure_for_mask(pairs, erased_mask) == (not expected[1])
+    for pairs in (table, rows):
+        assert easy_steps(pairs, erased) == expected
+        assert easy_closure_for_mask(pairs, erased_mask) == (not expected[1])
+
+
+def test_easy_plan_on_a_long_code_makes_no_group_table(monkeypatch):
+    """simplex:14 has n = 16,383: its whole size-<=2 table would hold about
+    134M masks of 16,383 bits, so a plan reads PairRows rows only."""
+    code = simplex_code(14)
+    cols = code_columns(code)
+    monkeypatch.setattr(repair, "_group_table", None)
+    erased = (0, 1, 2, 5, 700, code.n - 1)
+    plan = easy_repair_plan(code, _pattern(code, erased))
+    assert [(s.target, s.helpers) for s in plan.steps] == list(easy_steps_by_value(cols, erased)[0])
 
 
 @st.composite
