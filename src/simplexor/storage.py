@@ -23,6 +23,7 @@ from .repair import (
     ErasurePattern,
     RepairFailure,
     RepairPlan,
+    code_columns,
     easy_repair_plan,
     is_correctable,
 )
@@ -210,9 +211,9 @@ def _resolve_code(manifest: ShardManifest) -> LinearCode:
     return code
 
 
-def _sound_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[int, bytes]:
-    """Shard data by index, leaving out every shard that fails its length
-    or checksum test: a corrupt shard counts as erased."""
+def _sized_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[int, bytes]:
+    """Shard data by index, leaving out every shard of the wrong length: a
+    short or long shard counts as erased.  Checksums are left to the caller."""
     seen: set[int] = set()
     pool: dict[int, bytes] = {}
     for sh in available:
@@ -221,7 +222,7 @@ def _sound_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[i
         if sh.index in seen:
             raise StorageError(f"duplicate shard index {sh.index}")
         seen.add(sh.index)
-        if len(sh.data) == manifest.fragment_length and _crc(sh.data) == manifest.checksums[sh.index]:
+        if len(sh.data) == manifest.fragment_length:
             pool[sh.index] = sh.data
     return pool
 
@@ -230,12 +231,17 @@ def _sound_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[i
 def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
     """Per fragment, the live shard indices whose XOR gives it, or None.
 
-    One elimination of [live_sub | I] finds pivot positions p_t and the
-    transform T with T @ live_sub in reduced form; fragment i is then the
-    XOR of the live shards at the pivots selected by column i of T.  The
-    recipe depends only on the code and the live set, so it is built once.
+    One elimination of [live_sub | I], its columns in (weight, index) order,
+    finds pivot positions p_t and the transform T with T @ live_sub in
+    reduced form; fragment i is then the XOR of the live shards at the
+    pivots selected by column i of T.  So a live unit column passes its
+    shard through, and an erased fragment comes from low-weight columns.
+    The recipe depends only on the code and the live set, so it is built once.
     """
-    live_sub = _code_for_id(code_id).generator.select_columns(live)
+    code = _code_for_id(code_id)
+    cols = code_columns(code)
+    live = tuple(sorted(live, key=lambda j: (cols[j].bit_count(), j)))
+    live_sub = code.generator.select_columns(live)
     k, width = live_sub.rows, live_sub.cols
     aug = [live_sub.row_bits[i] | (1 << (width + i)) for i in range(k)]
     pivots = reduce_rows(aug, width)
@@ -250,19 +256,36 @@ def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], 
 def decode_object(manifest: ShardManifest, available: Iterable[Shard]) -> bytes:
     """Recover the exact payload from any correctable shard subset.
 
-    Shards that fail their length or checksum test are treated as erased.
+    Shards that fail their length or checksum test are treated as erased;
+    only the shards the decode recipe reads are checksummed.
     """
-    shards = _sound_shards(manifest, available)
+    shards = _sized_shards(manifest, available)
     _resolve_code(manifest)
-    recipe = _live_recipe(manifest.code, tuple(sorted(shards)))
-    if recipe is None:
-        raise NotCorrectable(f"{len(shards)} shards do not span the message space")
-    # only the fragments the payload reaches; fragment i sits at key n + i
     frag_len, n, length = manifest.fragment_length, manifest.n, manifest.payload_length
-    needed = -(-length // frag_len)
-    _run_xor_steps(shards, [(n + i, recipe[i]) for i in range(needed)], frag_len)
+    _decode_fragments(manifest, shards, set())
+    needed = -(-length // frag_len)  # the fragments the payload reaches
     tail = memoryview(shards[n + needed - 1])[: length - (needed - 1) * frag_len]
     return b"".join([*(shards[n + i] for i in range(needed - 1)), tail])
+
+
+def _decode_fragments(manifest: ShardManifest, shards: dict[int, bytes], checked: set[int]) -> None:
+    """Set shards[n + i] to fragment i, from length-checked shards, ``checked``
+    holding those known to match their checksums.  Each other shard the
+    recipe reads is hashed once; one that fails is dropped and the recipe
+    rebuilt for the smaller live set."""
+    while True:
+        recipe = _live_recipe(manifest.code, tuple(sorted(shards)))
+        reads = {j for indices in recipe for j in indices} if recipe else set(shards)
+        bad = {j for j in reads - checked if _crc(shards[j]) != manifest.checksums[j]}
+        if not bad:
+            break
+        checked |= reads
+        for j in bad:
+            del shards[j]
+    if recipe is None:
+        raise NotCorrectable(f"{len(shards)} shards do not span the message space")
+    steps = [(manifest.n + i, indices) for i, indices in enumerate(recipe)]
+    _run_xor_steps(shards, steps, manifest.fragment_length)
 
 
 def repair_shards(
@@ -277,25 +300,24 @@ def repair_shards(
     greedy XOR repair stalls on a correctable pattern.
     """
     missing = set(missing)
-    pool = _sound_shards(manifest, (sh for sh in available if sh.index not in missing))
+    pool = _sized_shards(manifest, (sh for sh in available if sh.index not in missing))
     code = _resolve_code(manifest)
+    pool = {j: data for j, data in pool.items() if _crc(data) == manifest.checksums[j]}
     erased = frozenset(set(range(manifest.n)) - set(pool))
     if not missing <= erased:
         raise StorageError("missing index out of range")
     pattern = ErasurePattern(manifest.n, erased)
     if not is_correctable(code, pattern):
         raise NotCorrectable("erasure pattern is beyond the code's capability")
-    outcome = easy_repair_plan(code, pattern)
-    if isinstance(outcome, RepairFailure):
-        payload = decode_object(manifest, [Shard(i, data) for i, data in pool.items()])
-        _, fresh = encode_object(code, payload)
-        repaired = tuple(fresh[i] for i in sorted(erased))
-        result = RepairResult(repaired, None, True)
+    plan = easy_repair_plan(code, pattern)
+    if isinstance(plan, RepairFailure):
+        plan = None
+        _decode_fragments(manifest, pool, set(pool))
+        steps = [step for step in _encode_steps(code.generator) if step[0] in erased]
     else:
-        steps = [(step.target, step.helpers) for step in outcome.steps]
-        _run_xor_steps(pool, steps, manifest.fragment_length)
-        repaired = tuple(Shard(i, pool[i]) for i in sorted(erased))
-        result = RepairResult(repaired, outcome, False)
+        steps = [(step.target, step.helpers) for step in plan.steps]
+    _run_xor_steps(pool, steps, manifest.fragment_length)
+    result = RepairResult(tuple(Shard(i, pool[i]) for i in sorted(erased)), plan, plan is None)
     for sh in result.shards:
         if _crc(sh.data) != manifest.checksums[sh.index]:
             raise ChecksumMismatch(f"repaired shard {sh.index} fails the manifest checksum")

@@ -8,10 +8,12 @@ speed; nothing in ``simplexor`` calls them.
 from __future__ import annotations
 
 import bisect
+import zlib
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode
 from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows
+from simplexor.storage import NotCorrectable, Shard, ShardManifest
 
 
 def codeword(generator: BitMatrix, message_bits: int) -> int:
@@ -94,6 +96,24 @@ def encode_by_columns(generator: BitMatrix, payload: bytes) -> list[bytes]:
         xor_bytes((frags[i] for i in range(k) if (generator.row_bits[i] >> j) & 1), frag_len)
         for j in range(generator.cols)
     ]
+
+
+def decode_by_solving(manifest: ShardManifest, generator: BitMatrix, shards: Iterable[Shard]) -> bytes:
+    """The payload from shards with distinct in-range indices, eagerly: every
+    shard is length-checked and hashed, the failures are dropped, and each
+    fragment is solve_right's combination of the sound shards, taken in
+    index order.  NotCorrectable when the sound shards do not span."""
+    sound = sorted((sh.index, sh.data) for sh in shards
+                   if len(sh.data) == manifest.fragment_length
+                   and f"{zlib.crc32(sh.data):08x}" == manifest.checksums[sh.index])
+    sub = generator.select_columns([j for j, _ in sound])
+    transposed = BitMatrix(sub.cols, sub.rows, sub.columns_bits())
+    solutions = [solve_right(transposed, 1 << i) for i in range(generator.rows)]
+    if None in solutions:
+        raise NotCorrectable(f"{len(sound)} shards do not span the message space")
+    fragments = (xor_bytes((data for p, (_, data) in enumerate(sound) if (x >> p) & 1),
+                           manifest.fragment_length) for x in solutions)
+    return b"".join(fragments)[: manifest.payload_length]
 
 
 def _easy_helper_by_value(

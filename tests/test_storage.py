@@ -8,16 +8,17 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import encode_by_columns, solve_right, xor_bytes
+from oracles import decode_by_solving, encode_by_columns, solve_right, xor_bytes
 from simplexor import storage
 from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code, um_simplex
 from simplexor.gf2 import BitMatrix
-from simplexor.repair import RepairFailure, ErasurePattern, is_correctable
+from simplexor.repair import RepairFailure, ErasurePattern, code_columns, is_correctable
 from simplexor.storage import (
     EmptyPayload,
     NotCorrectable,
     Shard,
     StorageError,
+    _crc,
     _live_recipe,
     _run_xor_steps,
     decode_object,
@@ -33,6 +34,39 @@ from simplexor.storage import (
 )
 
 FAMILIES = ["simplex:3", "c1:3", "c2:3", "um:2:1", "um2p4", "c0:4:2"]
+
+
+class _Counted:
+    """Patches storage's int conversion and CRC to record the bytes objects
+    they are handed."""
+
+    def __init__(self, monkeypatch):
+        self.converted, self.hashed = [], []
+
+        class CountingInt(int):
+            @classmethod
+            def from_bytes(cls, data, byteorder):
+                self.converted.append(data)
+                return int.from_bytes(data, byteorder)
+
+        def counting_crc(data):
+            self.hashed.append(data)
+            return _crc(data)
+
+        monkeypatch.setattr(storage, "int", CountingInt, raising=False)
+        monkeypatch.setattr(storage, "_crc", counting_crc)
+
+
+def _distinct_copies(shards):
+    """The shards with a bytes object of their own each (a shard that copies
+    one fragment shares its object), so a recorded object names one shard."""
+    return [Shard(sh.index, bytes(bytearray(sh.data))) for sh in shards]
+
+
+def _indices(recorded, shards):
+    """The sorted indices of the shards whose bytes objects were recorded."""
+    by_id = {id(sh.data): sh.index for sh in shards}
+    return sorted(by_id[id(data)] for data in recorded)
 
 
 def test_encode_applies_the_column_rule():
@@ -180,7 +214,11 @@ def test_repair_falls_back_to_decode_when_steps_stall(monkeypatch):
         return RepairFailure(ErasurePattern(pattern.n, pattern.erased))
 
     monkeypatch.setattr(storage, "easy_repair_plan", always_stall)
+    counted = _Counted(monkeypatch)
     result = repair_shards(manifest, available, missing)
+    # every supplied shard once, then each regenerated shard; the decode
+    # fallback hashes nothing again
+    assert len(counted.hashed) == len(available) + len(missing)
     assert result.via_decode
     assert result.plan is None
     by_index = {s.index: s for s in result.shards}
@@ -257,9 +295,10 @@ def test_round_trip_over_random_correctable_subsets(code_id):
 @pytest.mark.parametrize("code_id", ["simplex:4", "um:2:2"])
 def test_decode_recipe_matches_solve_right(code_id):
     """Fragment i of the recipe is the unique solution of live_sub @ x = e_i
-    supported on the leftmost independent live columns, which solve_right
-    finds with its free variables set to zero."""
+    supported on the first independent live columns in (weight, index)
+    order, which solve_right finds with its free variables set to zero."""
     code = parse_code_id(code_id)
+    cols = code_columns(code)
     rng = random.Random(31)
     for _ in range(20):
         while True:
@@ -267,11 +306,12 @@ def test_decode_recipe_matches_solve_right(code_id):
             pattern = ErasurePattern(code.n, frozenset(set(range(code.n)) - set(live)))
             if is_correctable(code, pattern):
                 break
-        live_sub = code.generator.select_columns(live)
+        order = sorted(live, key=lambda j: (cols[j].bit_count(), j))
+        live_sub = code.generator.select_columns(order)
         transposed = BitMatrix(live_sub.cols, live_sub.rows, live_sub.columns_bits())
         for i, indices in enumerate(_live_recipe(code_id, live)):
             x = solve_right(transposed, 1 << i)
-            assert indices == tuple(live[p] for p in range(len(live)) if (x >> p) & 1)
+            assert indices == tuple(order[p] for p in range(len(order)) if (x >> p) & 1)
         assert _live_recipe(code_id, live[: code.k - 1]) is None
 
 
@@ -420,25 +460,81 @@ def test_a_code_id_swapped_for_one_of_the_same_shape_is_caught():
 
 
 def test_decode_converts_each_shard_at_most_once(monkeypatch):
-    """um:2:3 with {0, 13} erased names 8 distinct shards 25 times in the
-    recipe's XORs of two or more shards; each is converted to an int once."""
-    converted = []
-
-    class CountingInt(int):
-        @classmethod
-        def from_bytes(cls, data, byteorder):
-            converted.append(data)
-            return int.from_bytes(data, byteorder)
-
+    """um:2:3 with {9, 10, 15, 16} erased names 6 distinct shards 10 times in
+    the recipe's XORs of two or more shards; each is converted to an int once."""
     payload = random.Random(5).randbytes(4000)
     manifest, shards = encode_object(parse_code_id("um:2:3"), payload)
-    live = [sh for sh in shards if sh.index not in {0, 13}]
-    monkeypatch.setattr(storage, "int", CountingInt, raising=False)
+    live = _distinct_copies(sh for sh in shards if sh.index not in {9, 10, 15, 16})
+    counted = _Counted(monkeypatch)
     assert decode_object(manifest, live) == payload
     recipe = _live_recipe("um:2:3", tuple(sh.index for sh in live))
     xored = {j for indices in recipe if len(indices) > 1 for j in indices}
-    assert sum(len(indices) for indices in recipe if len(indices) > 1) == 25
-    assert len(converted) == len({id(data) for data in converted}) == len(xored) == 8
+    assert sum(len(indices) for indices in recipe if len(indices) > 1) == 10
+    assert _indices(counted.converted, live) == sorted(xored)
+    assert len(xored) == 6
+
+
+def test_decode_hashes_only_the_shards_it_reads(monkeypatch):
+    """Intact um:2:3 passes the first shard of each unit column through,
+    hashing those 8 and converting none.  With {0, 13} erased the recipe
+    reads shard 3; a flipped bit there drops it, and the rebuilt recipe
+    hashes one shard more, none twice."""
+    payload = random.Random(6).randbytes(4000)
+    code = parse_code_id("um:2:3")
+    manifest, shards = encode_object(code, payload)
+    shards = _distinct_copies(shards)
+    cols = code_columns(code)
+    units = [min(j for j, col in enumerate(cols) if col == 1 << i) for i in range(code.k)]
+    counted = _Counted(monkeypatch)
+    assert decode_object(manifest, shards) == payload
+    assert _indices(counted.hashed, shards) == units == [0, 1, 9, 10, 15, 16, 21, 22]
+    assert counted.converted == []
+
+    counted.hashed.clear()
+    flipped = bytearray(shards[3].data)
+    flipped[0] ^= 1
+    live = [Shard(3, bytes(flipped)) if sh.index == 3 else sh
+            for sh in shards if sh.index not in {0, 13}]
+    assert decode_object(manifest, live) == payload
+    assert _indices(counted.hashed, live) == [1, 2, 3, 9, 10, 15, 16, 21, 22]
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of the StorageError it raised."""
+    try:
+        return call()
+    except StorageError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from(FAMILIES), st.binary(min_size=1, max_size=200), st.data())
+def test_decode_matches_the_eager_reference_under_shard_faults(code_id, payload, data):
+    """Decode that hashes only what its recipe reads gives the bytes, or the
+    error type and message, of a reference that hashes every shard first:
+    on a correctable live set with 0-3 shards bit-flipped or truncated."""
+    code = parse_code_id(code_id)
+    manifest, shards = encode_object(code, payload)
+    order = data.draw(st.permutations(range(code.n)), label="order")
+    size = next(e for e in range(code.n + 1)
+                if is_correctable(code, ErasurePattern(code.n, frozenset(order[e:]))))
+    live = sorted(order[: data.draw(st.integers(size, code.n), label="live")])
+    reads = sorted({j for indices in _live_recipe(code_id, tuple(live)) for j in indices})
+    targets = data.draw(st.lists(st.sampled_from(reads) | st.sampled_from(live),
+                                 unique=True, max_size=3), label="faulty")
+    available = {j: shards[j] for j in live}
+    for j in targets:
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * manifest.fragment_length - 1), label="bit")
+            flipped = bytearray(shards[j].data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            available[j] = Shard(j, bytes(flipped))
+        else:
+            cut = data.draw(st.integers(0, manifest.fragment_length - 1), label="length")
+            available[j] = Shard(j, shards[j].data[:cut])
+    supplied = list(available.values())
+    expected = _outcome(lambda: decode_by_solving(manifest, code.generator, supplied))
+    assert _outcome(lambda: decode_object(manifest, supplied)) == expected
+    assert expected == payload or expected[0] is NotCorrectable
 
 
 # sha256 of the manifest JSON and every shard's bytes of a 1001-byte payload,
