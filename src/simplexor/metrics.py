@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -282,6 +281,9 @@ def _run_chunks(chunks, workers: int):
     procs = min(workers, len(chunks), os.cpu_count() or 1)
     if procs <= 1:
         return [chunk() for chunk in chunks]
+    # imported here: it loads multiprocessing, which only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=procs) as ex:
         return [f.result() for f in [ex.submit(chunk) for chunk in chunks]]
 

@@ -77,7 +77,7 @@ class RepairResult:
 
 
 def _crc(data: bytes) -> str:
-    return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
+    return f"{zlib.crc32(data):08x}"
 
 
 _MANIFEST_TYPES = {
@@ -130,9 +130,10 @@ def _run_xor_steps(
 ) -> None:
     """For each (target, sources) step in order, set pool[target] to the XOR
     of the sources' ``length``-byte strings.  Each source becomes an int at
-    most once, kept only until the last step that reads it; one source
+    most once, kept only until the last step that XORs it; one source
     passes through as bytes and none gives zero bytes."""
-    last_read = {s: t for t, (_, sources) in enumerate(steps) for s in sources}
+    last_read = {s: t for t, (_, sources) in enumerate(steps) if len(sources) > 1
+                 for s in sources}
     ints: dict[int, int] = {}
     for t, (target, sources) in enumerate(steps):
         if len(sources) < 2:
@@ -154,10 +155,24 @@ def _run_xor_steps(
 
 @lru_cache(maxsize=32)
 def _encode_steps(generator: BitMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Shard j is the XOR of the fragments (keys n + i) in column j."""
+    """Shard j holds column j, the XOR of the fragments (keys n + i) in it,
+    built in column order.  A column equal to a fragment or an earlier
+    column passes that key through; one that is an earlier column plus its
+    lowest fragment XORs those two; any other XORs its fragments."""
     n, count = generator.cols, generator.rows
-    return tuple((j, tuple(n + i for i in range(count) if (col >> i) & 1))
-                 for j, col in enumerate(generator.columns_bits()))
+    built = {1 << i: n + i for i in range(count)}  # column value -> key holding it
+    steps = []
+    for j, col in enumerate(generator.columns_bits()):
+        low = col & -col
+        if col in built:
+            sources = (built[col],)
+        elif col ^ low in built:
+            sources = (built[col ^ low], n + low.bit_length() - 1)
+        else:
+            sources = tuple(n + i for i in range(count) if (col >> i) & 1)
+        built.setdefault(col, j)
+        steps.append((j, sources))
+    return tuple(steps)
 
 
 def _manifest_k(code: LinearCode) -> int:
@@ -168,7 +183,12 @@ def _manifest_k(code: LinearCode) -> int:
 
 def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list[Shard]]:
     """Split the payload into zero-padded fragments, one per generator row,
-    and emit one shard per node: the XOR of the fragments in its column."""
+    and emit one shard per node: the XOR of the fragments in its column.
+
+    Only the fragments and one zero string are hashed.  CRC-32 is affine
+    over GF(2): for equal lengths crc(a ^ b) = crc(a) ^ crc(b) ^ crc(zeros),
+    so a shard's CRC is the XOR of its sources' CRCs, and of the zero
+    string's when the sources are even in number (none included)."""
     if not payload:
         raise EmptyPayload("payload must be nonempty")
     n, count = code.generator.cols, code.generator.rows
@@ -178,7 +198,15 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         n + i: payload[i * frag_len : (i + 1) * frag_len].ljust(frag_len, b"\x00")
         for i in range(count)
     }
-    _run_xor_steps(pool, _encode_steps(code.generator), frag_len)
+    crcs = {key: zlib.crc32(data) for key, data in pool.items()}
+    zero_crc = zlib.crc32(bytes(frag_len))
+    steps = _encode_steps(code.generator)
+    for target, sources in steps:
+        crc = 0 if len(sources) % 2 else zero_crc
+        for s in sources:
+            crc ^= crcs[s]
+        crcs[target] = crc
+    _run_xor_steps(pool, steps, frag_len)
     shards = [Shard(j, pool[j]) for j in range(n)]
     manifest = ShardManifest(
         format_version=FORMAT_VERSION,
@@ -188,7 +216,7 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         s=code.s,
         payload_length=len(payload),
         fragment_length=frag_len,
-        checksums=tuple(_crc(sh.data) for sh in shards),
+        checksums=tuple(f"{crcs[j]:08x}" for j in range(n)),
     )
     return manifest, shards
 

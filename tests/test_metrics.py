@@ -1,9 +1,14 @@
+import concurrent.futures
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,7 +219,7 @@ class _PoolRecorder:
 
 def test_pool_starts_at_most_one_process_per_chunk_and_core(monkeypatch):
     code = simplex_code(3)
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "sizes", [])
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
     sampled = verify_easy_repair_property(code, Sampled(seed=5, trials=200), workers=4000)
@@ -230,6 +235,16 @@ def test_pool_starts_at_most_one_process_per_chunk_and_core(monkeypatch):
     assert _PoolRecorder.sizes == [3, 7]
     with pytest.raises(ValueError, match="workers"):
         verify_easy_repair_property(code, Exhaustive(), workers=0)
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    """The pool is imported when one starts, so a one-process run does not
+    pay for loading multiprocessing."""
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    probe = "import sys, simplexor.cli; sys.exit('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0
 
 
 def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
