@@ -7,11 +7,15 @@ same parameters always produce the bit-identical generator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
 
-from .gf2 import BitMatrix, hstack, rank
+from .gf2 import BitMatrix, hstack, rank, transpose
 
 SIMPLEX_MAX_K = 20
 UM_MAX_BASE_K = 10
+# n * k of simplex:20: no code id names a larger generator
+MAX_GENERATOR_BITS = SIMPLEX_MAX_K * ((1 << SIMPLEX_MAX_K) - 1)
 
 # Families proved to repair every correctable pattern with XORs of at most
 # two live nodes; repair failures on these flag a broken invariant.
@@ -67,33 +71,22 @@ class ConvCode:
             raise InvalidDimension("g1 = 0 would make the memory zero")
 
 
-def _column_value(col_bits: int, k: int) -> int:
-    """Integer value of a column with row 0 as the most significant bit."""
-    v = 0
-    for i in range(k):
-        v = (v << 1) | ((col_bits >> i) & 1)
-    return v
-
-
 def _matrix_from_columns(cols: list[int], k: int) -> BitMatrix:
-    rows = [0] * k
-    for j, c in enumerate(cols):
-        for i in range(k):
-            if (c >> i) & 1:
-                rows[i] |= 1 << j
-    return BitMatrix(k, len(cols), tuple(rows))
+    return BitMatrix(k, len(cols), transpose(cols, k))
 
 
 def simplex_generator(k: int) -> BitMatrix:
     """Generator whose columns are all 2^k - 1 nonzero vectors of GF(2)^k.
 
     Column order: Hamming weight ascending, ties broken by column value
-    (row 0 = most significant bit) descending.  The first k columns are
-    therefore the unit vectors e_1..e_k.
+    (row 0 = most significant bit) descending, which is the lex order of
+    the supports.  The first k columns are therefore the unit vectors
+    e_1..e_k.
     """
-    if not 1 <= k <= SIMPLEX_MAX_K:
-        raise InvalidDimension(f"simplex dimension {k} outside 1..{SIMPLEX_MAX_K}")
-    cols = sorted(range(1, 1 << k), key=lambda c: (c.bit_count(), -_column_value(c, k)))
+    _simplex_length(k)
+    units = [1 << i for i in range(k)]
+    cols = [sum(map(units.__getitem__, support))
+            for w in range(1, k + 1) for support in combinations(range(k), w)]
     return _matrix_from_columns(cols, k)
 
 
@@ -103,17 +96,9 @@ def simplex_parity_check(k: int) -> BitMatrix:
     The canonical simplex generator is [I_k | P], so H = [P^T | I_{n-k}]
     and H @ G^T = 0.
     """
-    if not 1 <= k <= SIMPLEX_MAX_K:
-        raise InvalidDimension(f"simplex dimension {k} outside 1..{SIMPLEX_MAX_K}")
     g = simplex_generator(k)
-    n = g.cols
-    if n == k:
-        return BitMatrix(0, n, ())
-    p_cols = [g.column_bits(j) for j in range(k, n)]
-    rows = []
-    for t, pc in enumerate(p_cols):
-        rows.append(pc | (1 << (k + t)))
-    return BitMatrix(n - k, n, tuple(rows))
+    rows = tuple(pc | 1 << (k + t) for t, pc in enumerate(g.columns_bits()[k:]))
+    return BitMatrix(len(rows), g.cols, rows)
 
 
 def weight2_matrix(k: int) -> BitMatrix:
@@ -259,8 +244,6 @@ def c0_repeat_code(k: int, x: int) -> LinearCode:
 def c1_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional weight-2 code."""
     base = _repeat_base(k, x)
-    if base < 2:
-        raise InvalidDimension("c1 repeat needs k/x >= 2")
     gen = block_diag_repeat(c1_generator(base), x)
     return _make(f"c1:{k}:{x}", "c1x", gen, x=x, base_k=base)
 
@@ -282,35 +265,68 @@ def _repeat_base(k: int, x: int) -> int:
     return k // x
 
 
-def parse_code_id(code_id: str) -> LinearCode:
-    """Resolve a CLI code id to a LinearCode.
+def _simplex_length(k: int) -> int:
+    """2^k - 1, the length of simplex:k, for k in 1..SIMPLEX_MAX_K."""
+    if not 1 <= k <= SIMPLEX_MAX_K:
+        raise InvalidDimension(f"simplex dimension {k} outside 1..{SIMPLEX_MAX_K}")
+    return (1 << k) - 1
 
-    Grammar: simplex:k | c1:k | c2:k | um:k:s | c0:k:x | c1:k:x |
-    umx:k:x | um2p4.
-    """
-    parts = code_id.strip().split(":")
-    name, args = parts[0], parts[1:]
+
+def _parse(code_id: str) -> tuple[Callable[..., LinearCode], list[int], int, int]:
+    """A code id's builder and parameters, and the n and k of the generator
+    it names by its family's formula, with nothing built.  The parameters
+    that set a power of two are range-checked here, the builder checks the
+    rest; a generator of more than MAX_GENERATOR_BITS bits is refused."""
+    name, *args = code_id.strip().split(":")
     try:
         nums = [int(a) for a in args]
     except ValueError as exc:
         raise InvalidCodeId(f"non-integer parameter in {code_id!r}") from exc
     try:
-        if name == "simplex" and len(nums) == 1:
-            return simplex_code(nums[0])
-        if name == "c1" and len(nums) == 1:
-            return c1_code(nums[0])
-        if name == "c2" and len(nums) == 1:
-            return c2_code(nums[0])
-        if name == "um" and len(nums) == 2:
-            return um_block_code(nums[0], nums[1])
-        if name == "c0" and len(nums) == 2:
-            return c0_repeat_code(nums[0], nums[1])
-        if name == "c1" and len(nums) == 2:
-            return c1_repeat_code(nums[0], nums[1])
-        if name == "umx" and len(nums) == 2:
-            return tensor_um_code(nums[0], nums[1])
-        if name == "um2p4" and not nums:
-            return um2prime_code()
+        match name, nums:
+            case "simplex", [k]:
+                build, n = simplex_code, _simplex_length(k)
+            case "c1", [k]:
+                build, n = c1_code, k * (k + 1) // 2
+            case "c2", [k]:
+                build, n = c2_code, 2 * k + 1
+            case "um", [base, s]:
+                build, n, k = um_block_code, (s + 2) * 2 * _simplex_length(base), (s + 1) * base
+            case "c0", [k, x]:
+                build, n = c0_repeat_code, x * _simplex_length(_repeat_base(k, x))
+            case "c1", [k, x]:
+                base = _repeat_base(k, x)
+                build, n = c1_repeat_code, x * base * (base + 1) // 2
+            case "umx", [k, x]:
+                build, n = tensor_um_code, (2 * x + 1) * _simplex_length(_repeat_base(k, x))
+            case "um2p4", []:
+                build, n, k = um2prime_code, 9, 4
+            case _:
+                raise InvalidCodeId(f"unrecognized code id {code_id!r}")
     except InvalidDimension as exc:
         raise InvalidCodeId(f"{code_id!r}: {exc}") from exc
-    raise InvalidCodeId(f"unrecognized code id {code_id!r}")
+    if min(nums, default=0) < 0:
+        raise InvalidCodeId(f"{code_id!r}: negative parameter")
+    if n * k > MAX_GENERATOR_BITS:
+        raise InvalidCodeId(
+            f"{code_id!r}: its {k} x {n} generator passes the {MAX_GENERATOR_BITS}-bit bound")
+    return build, nums, n, k
+
+
+def code_shape(code_id: str) -> tuple[int, int]:
+    """(n, k) of the generator a code id names, with nothing built."""
+    _, _, n, k = _parse(code_id)
+    return n, k
+
+
+def parse_code_id(code_id: str) -> LinearCode:
+    """Resolve a CLI code id to a LinearCode, its size checked first.
+
+    Grammar: simplex:k | c1:k | c2:k | um:k:s | c0:k:x | c1:k:x |
+    umx:k:x | um2p4.
+    """
+    build, nums, _, _ = _parse(code_id)
+    try:
+        return build(*nums)
+    except InvalidDimension as exc:
+        raise InvalidCodeId(f"{code_id!r}: {exc}") from exc

@@ -74,31 +74,34 @@ class BitMatrix:
     def zero(cls, rows: int, cols: int) -> BitMatrix:
         return cls(rows, cols, (0,) * rows)
 
-    def column_bits(self, j: int) -> int:
-        """Column j packed as an int with bit i = entry in row i."""
-        if not 0 <= j < self.cols:
-            raise DimensionMismatch("column index out of range")
-        acc = 0
-        for i, r in enumerate(self.row_bits):
-            acc |= ((r >> j) & 1) << i
-        return acc
-
     def columns_bits(self) -> tuple[int, ...]:
-        """All columns packed as ints, in index order."""
-        return tuple(self.column_bits(j) for j in range(self.cols))
+        """All columns packed as ints (bit i = entry in row i), in index order."""
+        return transpose(self.row_bits, self.cols)
 
     def select_columns(self, indices: Sequence[int]) -> BitMatrix:
         """Submatrix keeping the given columns, in the given order."""
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            for pos, j in enumerate(indices):
-                acc |= ((r >> j) & 1) << pos
-            out.append(acc)
-        return BitMatrix(self.rows, len(indices), tuple(out))
+        cols = self.columns_bits()
+        return BitMatrix(self.rows, len(indices), transpose([cols[j] for j in indices], self.rows))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
+
+
+def transpose(vectors: Sequence[int], width: int) -> tuple[int, ...]:
+    """The ``width`` ints whose bit i is bit j of ``vectors[i]``, for vectors
+    in 0..2^width - 1: a matrix's rows from its columns, or its columns from
+    its rows.
+
+    The vectors are written once, last to first and each most significant
+    bit first, as one string; every width-th character from an offset then
+    spells one result in binary, so the cost is linear in the bits.
+    """
+    if not width or not vectors:  # a zero width would format as "0"
+        return (0,) * width
+    text = "".join([f"{v:0{width}b}" for v in reversed(vectors)])
+    if len(text) != width * len(vectors):
+        raise DimensionMismatch("vector has bits beyond the width")
+    return tuple(int(text[i::width], 2) for i in range(width - 1, -1, -1))
 
 
 def hstack(mats: Sequence[BitMatrix]) -> BitMatrix:
@@ -173,7 +176,6 @@ def min_weight_nonzero_rowspan(m: BitMatrix, guard: int = 24) -> int:
 
 def format_matrix(m: BitMatrix) -> str:
     """Text form: a "rows cols" header line, then one 0/1 line per row."""
-    lines = [f"{m.rows} {m.cols}"]
-    for r in m.row_bits:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(m.cols)))
-    return "\n".join(lines)
+    # bit 0 first; [: m.cols] because a zero width formats as "0"
+    lines = (f"{r:0{m.cols}b}"[::-1][: m.cols] for r in m.row_bits)
+    return "\n".join([f"{m.rows} {m.cols}", *lines])

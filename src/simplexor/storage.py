@@ -17,8 +17,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codes import InvalidCodeId, LinearCode, parse_code_id
-from .gf2 import BitMatrix, reduce_rows
+from .codes import InvalidCodeId, LinearCode, code_shape, parse_code_id
+from .gf2 import BitMatrix, reduce_rows, transpose
 from .repair import (
     ErasurePattern,
     RepairFailure,
@@ -227,15 +227,16 @@ def _code_for_id(code_id: str) -> LinearCode:
 
 
 def _resolve_code(manifest: ShardManifest) -> LinearCode:
+    """The manifest's code, built only once the n and k its id names match
+    the manifest's n and fragment count."""
     try:
-        code = _code_for_id(manifest.code)
+        fits = code_shape(manifest.code) == (manifest.n, manifest.fragment_count())
+        code = _code_for_id(manifest.code) if fits else None
     except InvalidCodeId as exc:
         raise StorageError(f"manifest code: {exc}") from exc
-    if code.n != manifest.n:
-        raise StorageError(f"manifest n={manifest.n} does not match code {manifest.code}")
-    if (manifest.k, manifest.s) != (_manifest_k(code), code.s):
-        raise StorageError(
-            f"manifest k={manifest.k}, s={manifest.s} does not match code {manifest.code}")
+    if code is None or (manifest.k, manifest.s) != (_manifest_k(code), code.s):
+        raise StorageError(f"manifest n={manifest.n}, k={manifest.k}, s={manifest.s} "
+                           f"does not match code {manifest.code}")
     return code
 
 
@@ -269,9 +270,9 @@ def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], 
     code = _code_for_id(code_id)
     cols = code_columns(code)
     live = tuple(sorted(live, key=lambda j: (cols[j].bit_count(), j)))
-    live_sub = code.generator.select_columns(live)
-    k, width = live_sub.rows, live_sub.cols
-    aug = [live_sub.row_bits[i] | (1 << (width + i)) for i in range(k)]
+    live_sub = transpose([cols[j] for j in live], code.k)
+    k, width = code.k, len(live)
+    aug = [row | 1 << (width + i) for i, row in enumerate(live_sub)]
     pivots = reduce_rows(aug, width)
     if len(pivots) < k:
         return None

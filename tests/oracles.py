@@ -25,6 +25,11 @@ def codeword(generator: BitMatrix, message_bits: int) -> int:
     return acc
 
 
+def transpose_by_bits(vectors: Sequence[int], width: int) -> tuple[int, ...]:
+    """gf2.transpose one bit at a time: result i has bit j = bit i of vectors[j]."""
+    return tuple(sum(((v >> i) & 1) << j for j, v in enumerate(vectors)) for i in range(width))
+
+
 def solve_right(m: BitMatrix, target: int) -> int | None:
     """Solve u @ m = target for u; None when no solution exists.
 
@@ -37,7 +42,7 @@ def solve_right(m: BitMatrix, target: int) -> int | None:
     k = m.rows
     # Row j of the transposed system is column j of m, augmented with the
     # target bit at position k.
-    aug = [m.column_bits(j) | (((target >> j) & 1) << k) for j in range(m.cols)]
+    aug = [col | (((target >> j) & 1) << k) for j, col in enumerate(m.columns_bits())]
     pivots = reduce_rows(aug, k)
     if any(aug[len(pivots):]):
         return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_gen_rejects_unknown_code(capsys):
     status, _, err = run(capsys, "gen", "--code", "nope:3")
     assert status == 2
     assert "nope:3" in err
+
+
+@pytest.mark.parametrize("code", ["c2:100000", "um:2:1000000"])
+def test_a_code_over_the_size_bound_is_usage_error_at_once(capsys, code):
+    start = time.process_time()
+    status, out, err = run(capsys, "plan", "--code", code, "--erased", "0")
+    assert time.process_time() - start < 0.5
+    assert status == 2
+    assert err.startswith("error:") and code in err and "bound" in err
+    assert out == ""
 
 
 def test_encode_decode_repair_cycle(tmp_path, capsys):

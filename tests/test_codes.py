@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from simplexor.codes import (
     c2_code,
     c2_generator,
     chain_pattern_matrix,
+    code_shape,
     parse_code_id,
     simplex_code,
     simplex_generator,
@@ -67,6 +69,41 @@ def test_parity_check_annihilates_generator(k):
     # every parity check is orthogonal to every generator row
     assert all((hr & gr).bit_count() % 2 == 0 for hr in h.row_bits for gr in g.row_bits)
     assert rank(h) == g.cols - k
+
+
+def _column_value(col_bits: int, k: int) -> int:
+    """Integer value of a column with row 0 as the most significant bit."""
+    v = 0
+    for i in range(k):
+        v = (v << 1) | ((col_bits >> i) & 1)
+    return v
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_simplex_columns_follow_the_documented_order(k):
+    # weight ascending, then value with row 0 most significant descending
+    order = sorted(range(1, 1 << k), key=lambda c: (c.bit_count(), -_column_value(c, k)))
+    assert simplex_generator(k).columns_bits() == tuple(order)
+
+
+# sha256 over the reprs of the generator rows of these ids, then of the rows
+# of simplex_parity_check(1..9); the digest was taken with the generators
+# built column by column and sorted on the column values
+PINNED_ROWS_IDS = (
+    "simplex:1", "simplex:4", "simplex:9", "c1:2", "c1:7", "c2:2", "c2:9", "um:1:0",
+    "um:2:3", "um:3:2", "c0:4:1", "c0:6:2", "c1:6:2", "c1:9:3", "umx:6:3", "umx:4:4",
+    "umx:8:2", "um2p4",
+)
+PINNED_ROWS_DIGEST = "39a44167667fe4878a089516c1f1890f76607ae30037533f62d7cd9b14739269"
+
+
+def test_generator_rows_are_pinned():
+    h = hashlib.sha256()
+    for code_id in PINNED_ROWS_IDS:
+        h.update(repr(parse_code_id(code_id).generator.row_bits).encode())
+    for k in range(1, 10):
+        h.update(repr(simplex_parity_check(k).row_bits).encode())
+    assert h.hexdigest() == PINNED_ROWS_DIGEST
 
 
 @pytest.mark.parametrize("k", range(2, 6))
@@ -140,7 +177,7 @@ def test_sliding_generator_staircase():
     top = hstack([g, g, g, z, z, z])
     bottom = hstack([z, z, g, g, g, z])
     assert total == BitMatrix(4, 18, top.row_bits + bottom.row_bits)
-    assert all(total.column_bits(j) == 0 for j in range(15, 18))
+    assert all(total.columns_bits()[j] == 0 for j in range(15, 18))
 
 
 def test_sliding_generator_matches_per_time_convolution():
@@ -209,11 +246,42 @@ def test_parse_code_id(code_id, k, n):
 
 
 @pytest.mark.parametrize(
-    "bad", ["foo:3", "c1:x", "um:2", "simplex:0", "simplex", "c0:5:2", "um2p4:1"]
+    "bad", ["foo:3", "c1:x", "um:2", "simplex:0", "simplex", "c0:5:2", "um2p4:1",
+            "c2:-5", "um:2:-1", "c2:100000", "um:2:1000000"]
 )
 def test_parse_code_id_rejects(bad):
     with pytest.raises(InvalidCodeId):
         parse_code_id(bad)
+
+
+def _small_code_ids():
+    yield "um2p4"
+    for a in range(-1, 9):
+        yield from (f"simplex:{a}", f"c1:{a}", f"c2:{a}")
+        for b in range(-1, 9):
+            yield from (f"um:{a}:{b}", f"c0:{a}:{b}", f"c1:{a}:{b}", f"umx:{a}:{b}")
+
+
+def test_code_shape_is_the_shape_of_every_code_that_builds():
+    built = 0
+    for code_id in _small_code_ids():
+        try:
+            code = parse_code_id(code_id)
+        except InvalidCodeId:
+            continue
+        assert code_shape(code_id) == (code.n, code.generator.rows), code_id
+        built += 1
+    assert built > 100
+
+
+def test_the_size_bound_admits_simplex_20_and_nothing_larger():
+    # n * k of simplex:20 is the bound; nothing here is built
+    assert code_shape("simplex:20") == ((1 << 20) - 1, 20)
+    assert code_shape("um:10:30") == (65472, 310)
+    assert code_shape("c2:3237") == (6475, 3237)
+    for code_id in ("c2:3238", "um:10:31", "umx:60:3", "c0:40:2", "um:1:3237"):
+        with pytest.raises(InvalidCodeId, match="bound"):
+            code_shape(code_id)
 
 
 def test_um_block_code_dimensions():

@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import codeword, nullspace, solve_right
+from oracles import codeword, nullspace, solve_right, transpose_by_bits
 from simplexor.codes import simplex_generator, weight2_matrix
 from simplexor.gf2 import (
     BitMatrix,
@@ -14,6 +14,7 @@ from simplexor.gf2 import (
     hstack,
     min_weight_nonzero_rowspan,
     rank,
+    transpose,
 )
 from simplexor.repair import full_rank_on_live
 
@@ -49,6 +50,46 @@ def test_matrix_text_roundtrip(m):
     assert head == f"{m.rows} {m.cols}"
     assert all(len(line) == m.cols for line in lines)
     assert tuple(int(line[::-1], 2) for line in lines) == m.row_bits
+
+
+@st.composite
+def vectors_and_widths(draw):
+    width = draw(st.integers(0, 12))
+    vector = st.one_of(st.just(0), st.integers(0, (1 << width) - 1))
+    return draw(st.lists(vector, max_size=10)), width
+
+
+@given(vectors_and_widths())
+@example(([], 0))
+@example(([], 5))
+@example(([0, 0, 0], 0))
+@example(([0, 0], 4))
+def test_transpose_matches_the_bit_by_bit_reference(case):
+    vectors, width = case
+    out = transpose(vectors, width)
+    assert out == transpose_by_bits(vectors, width)
+    assert transpose(out, len(vectors)) == tuple(vectors)
+
+
+def test_transpose_rejects_a_vector_wider_than_the_width():
+    with pytest.raises(DimensionMismatch):
+        transpose([0b1, 0b100], 2)
+
+
+@given(bit_matrices(), st.data())
+@example(BitMatrix(0, 3, ()), None)
+@example(BitMatrix(2, 0, (0, 0)), None)
+def test_columns_and_column_selection_match_the_bit_loops(m, data):
+    assert m.columns_bits() == transpose_by_bits(m.row_bits, m.cols)
+    picks = [] if data is None else data.draw(st.lists(st.integers(0, m.cols - 1), max_size=8))
+    sub = m.select_columns(picks)
+    assert (sub.rows, sub.cols) == (m.rows, len(picks))
+    assert sub.row_bits == tuple(sum(((r >> j) & 1) << pos for pos, j in enumerate(picks))
+                                 for r in m.row_bits)
+
+
+def test_matrix_text_of_zero_width_rows_is_empty_lines():
+    assert format_matrix(BitMatrix(2, 0, (0, 0))) == "2 0\n\n"
 
 
 def test_stacking():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 import zlib
 from types import SimpleNamespace
@@ -13,7 +14,13 @@ from oracles import decode_by_solving, encode_by_columns, solve_right, xor_bytes
 from simplexor import storage
 from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code, um_simplex
 from simplexor.gf2 import BitMatrix
-from simplexor.repair import RepairFailure, ErasurePattern, code_columns, is_correctable
+from simplexor.repair import (
+    RepairFailure,
+    ErasurePattern,
+    code_columns,
+    easy_repair_plan,
+    is_correctable,
+)
 from simplexor.storage import (
     EmptyPayload,
     NotCorrectable,
@@ -161,6 +168,37 @@ def test_cached_code_resolution_still_checks_each_manifest(monkeypatch):
     storage._code_for_id.cache_clear()
 
 
+@pytest.mark.parametrize("code_id", ["simplex:20", "c2:100000", "um:10:30"])
+def test_a_manifest_naming_a_large_code_is_refused_before_it_is_built(monkeypatch, code_id):
+    manifest, shards = encode_object(simplex_code(3), b"a small object")
+    wrong = dataclasses.replace(manifest, code=code_id)
+    built = []
+    monkeypatch.setattr(storage, "parse_code_id", built.append)
+    storage._code_for_id.cache_clear()
+    start = time.process_time()
+    with pytest.raises(StorageError, match=code_id):
+        decode_object(wrong, shards)
+    with pytest.raises(StorageError, match=code_id):
+        repair_shards(wrong, shards[1:], {0})
+    assert time.process_time() - start < 0.5
+    assert built == []
+    storage._code_for_id.cache_clear()
+
+
+def test_simplex_16_plans_encodes_decodes_and_repairs():
+    """The first plan on 65,535 nodes, then a 3 KB payload byte for byte
+    through encode, a decode without shards 0 and 1, and their repair."""
+    code = parse_code_id("simplex:16")
+    plan = easy_repair_plan(code, ErasurePattern(code.n, frozenset({0, 1})))
+    assert [(step.target, step.helpers) for step in plan.steps] == [(0, (2, 17)), (1, (0, 16))]
+    payload = random.Random(16).randbytes(3 << 10)
+    manifest, shards = encode_object(code, payload)
+    live = shards[2:]
+    assert decode_object(manifest, live) == payload
+    result = repair_shards(manifest, live, {0, 1})
+    assert result.shards == tuple(shards[:2]) and not result.via_decode
+
+
 @pytest.mark.parametrize(
     "code_id, k, s", [("c1:6", 2, 2), ("c1:6", -3, -3), ("um:2:2", 6, None), ("simplex:3", 1, 2)]
 )
@@ -283,7 +321,7 @@ def test_um_shard_count_and_convolution_identity():
         out = []
         for j in range(tap.cols):
             acc = 0
-            col = tap.column_bits(j)
+            col = tap.columns_bits()[j]
             for i in range(tap.rows):
                 if (col >> i) & 1:
                     acc ^= int.from_bytes(u[i], "little")
@@ -395,6 +433,7 @@ def test_encode_decode_repair_match_the_column_rule(code, payload, data):
     erased = frozenset(range(code.n)) - set(live)
     available = [shards[j] for j in live]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "code_shape", lambda code_id: (code.n, code.k))
         mp.setattr(storage, "_code_for_id", lambda code_id: code)
         if not is_correctable(code, ErasurePattern(code.n, erased)):
             with pytest.raises(NotCorrectable):
