@@ -7,6 +7,7 @@ same parameters always produce the bit-identical generator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -313,6 +314,7 @@ def _parse(code_id: str) -> tuple[Callable[..., LinearCode], list[int], int, int
     return build, nums, n, k
 
 
+@lru_cache(maxsize=256)
 def code_shape(code_id: str) -> tuple[int, int]:
     """(n, k) of the generator a code id names, with nothing built."""
     _, _, n, k = _parse(code_id)
