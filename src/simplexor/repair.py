@@ -353,7 +353,8 @@ def _compatibility(masks: Sequence[int], full: int) -> tuple[dict[int, int], lis
 
 
 class _PackingSolver:
-    """Exact max disjoint packing as max clique on the compatibility graph.
+    """Is there a packing of w disjoint groups?  Asked as: is there a clique
+    of w vertices in the compatibility graph?
 
     Vertices are nonempty groups, edges join disjoint ones.  One incidence
     map, node -> bitset of the groups holding that node, gives both the
@@ -382,54 +383,43 @@ class _PackingSolver:
             self.cover_verts.append(verts)
             left &= ~verts
 
-    def max_clique(self, best_start: int, stop_at: int) -> tuple[int, int]:
-        """Search for cliques of more than best_start vertices, stopping at
-        the first of stop_at; returns the size and vertex bitset of the
-        largest found, or (best_start, 0) if none is larger."""
+    def clique_of(self, want: int) -> int:
+        """The vertex bitset of a clique of want >= 1 vertices, or 0 if
+        there is none.  A branch ends once a bound says it cannot reach
+        want, and the first vertex that completes want ends the search."""
         adj = self.adj
         cover_verts = self.cover_verts
-        best = best_start
-        clique = 0
-        done = False
 
-        def expand(p: int, size: int, chosen: int) -> None:
-            nonlocal best, clique, done
+        def expand(p: int, size: int, chosen: int) -> int:
             hits = 0
-            tightest = None
-            tight_count = 0
+            tightest = 0
+            tight_count = len(adj) + 1
             for verts in cover_verts:
                 sub = verts & p
                 if sub:
                     hits += 1
                     c = sub.bit_count()
-                    if tightest is None or c < tight_count:
+                    if c < tight_count:
                         tightest, tight_count = sub, c
-            if size + hits <= best:
-                return
-            if hits - (best - size) <= 1 and tightest is not None:
-                # Nearly every cover element must host a packed group, so
-                # branch on the element with the fewest candidate groups;
-                # its skip branch loses a cover hit and prunes itself.
+            if size + hits < want:
+                return 0
+            if size + hits == want:
+                # Every cover element must host a packed group, so branch on
+                # the element with the fewest candidate groups; its skip
+                # branch loses a cover hit and prunes itself.
                 sub = tightest
                 while sub:
                     b = sub & -sub
                     sub ^= b
-                    v = b.bit_length() - 1
-                    p2 = p & adj[v]
+                    if size + 1 == want:
+                        return chosen | b
+                    p2 = p & adj[b.bit_length() - 1]
                     if p2:
-                        expand(p2, size + 1, chosen | b)
-                        if done:
-                            return
-                    elif size + 1 > best:
-                        best = size + 1
-                        clique = chosen | b
-                        if best >= stop_at:
-                            done = True
-                            return
+                        found = expand(p2, size + 1, chosen | b)
+                        if found:
+                            return found
                 skip = p & ~tightest
-                if skip:
-                    expand(skip, size, chosen)
-                return
+                return expand(skip, size, chosen) if skip else 0
             order: list[int] = []
             colors: list[int] = []
             uncolored = p
@@ -446,25 +436,21 @@ class _PackingSolver:
                     order.append(v)
                     colors.append(color)
             for i in range(len(order) - 1, -1, -1):
-                if size + colors[i] <= best:
-                    return
+                if size + colors[i] < want:
+                    return 0
                 v = order[i]
                 b = 1 << v
+                if size + 1 == want:
+                    return chosen | b
                 p2 = p & adj[v]
                 if p2:
-                    expand(p2, size + 1, chosen | b)
-                    if done:
-                        return
-                elif size + 1 > best:
-                    best = size + 1
-                    clique = chosen | b
-                    if best >= stop_at:
-                        done = True
-                        return
+                    found = expand(p2, size + 1, chosen | b)
+                    if found:
+                        return found
                 p &= ~b
+            return 0
 
-        expand(self.full, 0, 0)
-        return best, clique
+        return expand(self.full, 0, 0)
 
 
 def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | None:
@@ -522,22 +508,21 @@ def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[i
     """A largest pairwise-disjoint subcollection of the group bitmasks, in
     mask_indices order.
 
-    Descending feasibility tests from the best known upper bound keep the
-    incumbent maximal during each test, so all bounds prune as hard as
-    they can; the first test that succeeds holds a maximum packing, and if
-    none does the first-fit packing is one.
+    Asks the solver for a packing of w groups for each w from the best
+    upper bound (the cover size, or upper_hint if smaller) down to one more
+    than the first-fit size.  As w never exceeds the maximum, the first w
+    that has one is the maximum; if none has, the first-fit packing is one.
     """
     packing, _ = _first_fit(groups)
     solver = _PackingSolver(groups)
     ub = len(solver.cover_verts)
     if upper_hint is not None and upper_hint < ub:
         ub = upper_hint
-    while ub > len(packing):
-        size, found = solver.max_clique(ub - 1, ub)
-        if size >= ub:
+    for want in range(ub, len(packing), -1):
+        found = solver.clique_of(want)
+        if found:
             packing = [solver.masks[v] for v in mask_indices(found)]
             break
-        ub -= 1
     return sorted(packing, key=mask_indices)
 
 

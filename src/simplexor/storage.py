@@ -257,19 +257,19 @@ def _sized_shards(manifest: ShardManifest, available: Iterable[Shard]) -> dict[i
 
 
 @lru_cache(maxsize=256)
-def _live_recipe(code_id: str, live: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
-    """Per fragment, the live shard indices whose XOR gives it, or None.
+def _live_recipe(code_id: str, erased: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """Per fragment, the shard indices outside ``erased`` whose XOR gives it, or None.
 
     One elimination of [live_sub | I], its columns in (weight, index) order,
     finds pivot positions p_t and the transform T with T @ live_sub in
     reduced form; fragment i is then the XOR of the live shards at the
     pivots selected by column i of T.  So a live unit column passes its
     shard through, and an erased fragment comes from low-weight columns.
-    The recipe depends only on the code and the live set, so it is built once.
+    Built once per code and erased set, a key that stays small on long codes.
     """
     code = _code_for_id(code_id)
     cols = code_columns(code)
-    live = tuple(sorted(live, key=lambda j: (cols[j].bit_count(), j)))
+    live = sorted(set(range(code.n)).difference(erased), key=lambda j: (cols[j].bit_count(), j))
     live_sub = transpose([cols[j] for j in live], code.k)
     k, width = code.k, len(live)
     aug = [row | 1 << (width + i) for i, row in enumerate(live_sub)]
@@ -303,7 +303,7 @@ def _decode_fragments(manifest: ShardManifest, shards: dict[int, bytes], checked
     recipe reads is hashed once; one that fails is dropped and the recipe
     rebuilt for the smaller live set."""
     while True:
-        recipe = _live_recipe(manifest.code, tuple(sorted(shards)))
+        recipe = _live_recipe(manifest.code, tuple(j for j in range(manifest.n) if j not in shards))
         reads = {j for indices in recipe for j in indices} if recipe else set(shards)
         bad = {j for j in reads - checked if _crc(shards[j]) != manifest.checksums[j]}
         if not bad:

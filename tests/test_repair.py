@@ -480,6 +480,30 @@ def test_max_packing_matches_brute_force(groups):
     assert got == sorted(got)
 
 
+@given(
+    st.lists(
+        st.sets(st.integers(0, 9), min_size=1, max_size=4).map(lambda s: tuple(sorted(s))),
+        max_size=14,
+        unique=True,
+    )
+)
+@example([])
+@example([(0,), (1,), (2,), (0, 1, 2)])
+def test_clique_of_finds_want_disjoint_groups_exactly_when_they_exist(groups):
+    """Every want up to one past the number of groups, so also the wants
+    above the maximum that the descending packer never asks."""
+    solver = _PackingSolver([_index_mask(g) for g in groups])
+    best = max(len(f) for f in _disjoint_families(sorted(groups)))
+    for want in range(1, len(groups) + 2):
+        found = solver.clique_of(want)
+        if want > best:
+            assert found == 0
+            continue
+        picked = [solver.masks[v] for v in mask_indices(found)]
+        assert len(picked) == want
+        assert not any(a & b for a, b in itertools.combinations(picked, 2))
+
+
 @given(_GROUP_LISTS)
 def test_packing_solver_graph_and_cover_match_the_groups(groups):
     masks = [_index_mask(g) for g in groups]

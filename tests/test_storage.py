@@ -199,6 +199,24 @@ def test_simplex_16_plans_encodes_decodes_and_repairs():
     assert result.shards == tuple(shards[:2]) and not result.via_decode
 
 
+def test_the_decode_recipe_cache_keeps_little_per_live_set():
+    """Decoding a simplex:12 object (4,095 shards) from 40 live sets, two
+    erasures each, retains a few KB: a cache keyed by the 4,093 live
+    indices of each set would hold about 33 KB per set."""
+    manifest, shards = encode_object(parse_code_id("simplex:12"), random.Random(12).randbytes(240))
+    assert decode_object(manifest, shards[2:]) == random.Random(12).randbytes(240)
+    _live_recipe.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(40):
+            decode_object(manifest, shards[:i] + shards[i + 2 :])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 40 * 4096, retained
+
+
 @pytest.mark.parametrize(
     "code_id, k, s", [("c1:6", 2, 2), ("c1:6", -3, -3), ("um:2:2", 6, None), ("simplex:3", 1, 2)]
 )
@@ -373,10 +391,10 @@ def test_decode_recipe_matches_solve_right(code_id):
         order = sorted(live, key=lambda j: (cols[j].bit_count(), j))
         live_sub = code.generator.select_columns(order)
         transposed = BitMatrix(live_sub.cols, live_sub.rows, live_sub.columns_bits())
-        for i, indices in enumerate(_live_recipe(code_id, live)):
+        for i, indices in enumerate(_live_recipe(code_id, tuple(sorted(pattern.erased)))):
             x = solve_right(transposed, 1 << i)
             assert indices == tuple(order[p] for p in range(len(order)) if (x >> p) & 1)
-        assert _live_recipe(code_id, live[: code.k - 1]) is None
+        assert _live_recipe(code_id, tuple(j for j in range(code.n) if j not in live[: code.k - 1])) is None
 
 
 @given(st.data())
@@ -549,7 +567,7 @@ def test_decode_converts_each_shard_at_most_once(monkeypatch):
     live = _distinct_copies(sh for sh in shards if sh.index not in {9, 10, 15, 16})
     counted = _Counted(monkeypatch)
     assert decode_object(manifest, live) == payload
-    recipe = _live_recipe("um:2:3", tuple(sh.index for sh in live))
+    recipe = _live_recipe("um:2:3", (9, 10, 15, 16))
     xored = {j for indices in recipe if len(indices) > 1 for j in indices}
     assert sum(len(indices) for indices in recipe if len(indices) > 1) == 10
     assert _indices(counted.converted, live) == sorted(xored)
@@ -600,7 +618,7 @@ def test_decode_matches_the_eager_reference_under_shard_faults(code_id, payload,
     size = next(e for e in range(code.n + 1)
                 if is_correctable(code, ErasurePattern(code.n, frozenset(order[e:]))))
     live = sorted(order[: data.draw(st.integers(size, code.n), label="live")])
-    reads = sorted({j for indices in _live_recipe(code_id, tuple(live)) for j in indices})
+    reads = sorted({j for indices in _live_recipe(code_id, tuple(sorted(order[len(live):]))) for j in indices})
     targets = data.draw(st.lists(st.sampled_from(reads) | st.sampled_from(live),
                                  unique=True, max_size=3), label="faulty")
     available = {j: shards[j] for j in live}
