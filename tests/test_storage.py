@@ -394,7 +394,8 @@ def test_decode_recipe_matches_solve_right(code_id):
         for i, indices in enumerate(_live_recipe(code_id, tuple(sorted(pattern.erased)))):
             x = solve_right(transposed, 1 << i)
             assert indices == tuple(order[p] for p in range(len(order)) if (x >> p) & 1)
-        assert _live_recipe(code_id, tuple(j for j in range(code.n) if j not in live[: code.k - 1])) is None
+        kept = live[: code.k - 1]
+        assert _live_recipe(code_id, tuple(j for j in range(code.n) if j not in kept)) is None
 
 
 @given(st.data())
