@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 
 from . import metrics, storage
-from .codes import InvalidCodeId, parse_code_id
+from .codes import InvalidCodeId, parse_code_id, simplex_parity_rows
 from .gf2 import TooLarge, format_matrix
 from .metrics import Exhaustive, Sampled
 from .repair import (
@@ -108,16 +110,17 @@ def _usage(msg: str) -> int:
 
 def _cmd_gen(args) -> int:
     code = parse_code_id(args.code)
-    blocks = [format_matrix(code.generator)]
+    g = code.generator
+    lines = format_matrix(g.rows, g.cols, g.row_bits)
     if code.family == "simplex":
-        from .codes import simplex_parity_check
-
-        blocks.append(format_matrix(simplex_parity_check(code.k)))
-    text = "\n\n".join(blocks) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    if args.do_print or not args.out:
-        sys.stdout.write(text)
+        parity = format_matrix(code.n - code.k, code.n, simplex_parity_rows(code.k))
+        lines = chain(lines, [""], parity)
+    with open(args.out, "w") if args.out else nullcontext() as out:
+        for line in lines:
+            if out:
+                out.write(line + "\n")
+            if args.do_print or not out:
+                sys.stdout.write(line + "\n")
     return 0
 
 

@@ -7,11 +7,11 @@ same parameters always produce the bit-identical generator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
-from .gf2 import BitMatrix, hstack, rank, transpose
+from .gf2 import BitMatrix, rank, transpose
 
 SIMPLEX_MAX_K = 20
 UM_MAX_BASE_K = 10
@@ -50,6 +50,11 @@ class LinearCode:
     s: int | None = None
     base_k: int | None = None
 
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """The generator's columns as ints, made once per code; not a field."""
+        return self.generator.columns_bits()
+
 
 @dataclass(frozen=True)
 class ConvCode:
@@ -76,19 +81,34 @@ def _matrix_from_columns(cols: list[int], k: int) -> BitMatrix:
     return BitMatrix(k, len(cols), transpose(cols, k))
 
 
-def simplex_generator(k: int) -> BitMatrix:
-    """Generator whose columns are all 2^k - 1 nonzero vectors of GF(2)^k.
+def _kron_columns(outer: list[int], inner: list[int], k_inner: int) -> list[int]:
+    """Columns of outer ⊗ inner, outer-major: outer column p and inner column
+    c give c in each k_inner-row block i with bit i of p set, zeros elsewhere,
+    which is c times p spread to one bit per block, as c < 2^k_inner."""
+    spreads = [sum(1 << k_inner * i for i in range(p.bit_length()) if p >> i & 1) for p in outer]
+    return [c * m for m in spreads for c in inner]
 
-    Column order: Hamming weight ascending, ties broken by column value
-    (row 0 = most significant bit) descending, which is the lex order of
-    the supports.  The first k columns are therefore the unit vectors
-    e_1..e_k.
-    """
+
+def _simplex_columns(k: int) -> list[int]:
+    """All 2^k - 1 nonzero vectors of GF(2)^k, Hamming weight ascending, ties
+    broken by column value (row 0 = most significant bit) descending, which
+    is the lex order of the supports: the first k are the unit vectors."""
     _simplex_length(k)
     units = [1 << i for i in range(k)]
-    cols = [sum(map(units.__getitem__, support))
+    return [sum(map(units.__getitem__, support))
             for w in range(1, k + 1) for support in combinations(range(k), w)]
-    return _matrix_from_columns(cols, k)
+
+
+def simplex_generator(k: int) -> BitMatrix:
+    """The k x (2^k - 1) generator whose columns are _simplex_columns(k)."""
+    return _matrix_from_columns(_simplex_columns(k), k)
+
+
+def simplex_parity_rows(k: int) -> Iterator[int]:
+    """The rows of simplex_parity_check(k), made one at a time from the
+    simplex columns: row t is column k + t plus bit k + t."""
+    for t, pc in enumerate(_simplex_columns(k)[k:]):
+        yield pc | 1 << (k + t)
 
 
 def simplex_parity_check(k: int) -> BitMatrix:
@@ -97,29 +117,29 @@ def simplex_parity_check(k: int) -> BitMatrix:
     The canonical simplex generator is [I_k | P], so H = [P^T | I_{n-k}]
     and H @ G^T = 0.
     """
-    g = simplex_generator(k)
-    rows = tuple(pc | 1 << (k + t) for t, pc in enumerate(g.columns_bits()[k:]))
-    return BitMatrix(len(rows), g.cols, rows)
+    n = _simplex_length(k)
+    return BitMatrix(n - k, n, tuple(simplex_parity_rows(k)))
+
+
+def _c1_columns(k: int) -> list[int]:
+    # the unit columns, then each weight-2 column {i, j}, i < j, in lex order
+    if not 2 <= k <= SIMPLEX_MAX_K:
+        raise InvalidDimension(f"c1 dimension {k} outside 2..{SIMPLEX_MAX_K}")
+    return [1 << i for i in range(k)] + [1 << i | 1 << j for i in range(k) for j in range(i + 1, k)]
 
 
 def weight2_matrix(k: int) -> BitMatrix:
-    """The k x k(k-1)/2 matrix whose columns are all weight-2 vectors.
-
-    Columns with support {i, j}, i < j, ordered lexicographically by
-    (i, j): all pairs containing row 0 first, then row 1, and so on.
-    """
+    """The k x k(k-1)/2 matrix whose columns are all weight-2 vectors, with
+    support {i, j}, i < j, in lex order: the pairs holding row 0 first."""
     if k < 2:
         raise InvalidDimension("weight-2 columns need k >= 2")
-    cols = [(1 << i) | (1 << j) for i in range(k) for j in range(i + 1, k)]
-    return _matrix_from_columns(cols, k)
+    return _matrix_from_columns(_c1_columns(k)[k:], k)
 
 
 def c1_generator(k: int) -> BitMatrix:
     """Generator [I_k | W] with W the weight-2 column matrix; a
     (k(k+1)/2, k) code."""
-    if not 2 <= k <= SIMPLEX_MAX_K:
-        raise InvalidDimension(f"c1 dimension {k} outside 2..{SIMPLEX_MAX_K}")
-    return hstack([BitMatrix.identity(k), weight2_matrix(k)])
+    return _matrix_from_columns(_c1_columns(k), k)
 
 
 def _chain_columns(k: int) -> list[int]:
@@ -132,27 +152,20 @@ def _chain_columns(k: int) -> list[int]:
     return cols
 
 
-def chain_pattern_matrix(k: int) -> BitMatrix:
-    """The k x (2k+1) chain of unit and adjacent-sum columns."""
-    if k < 1:
-        raise InvalidDimension("chain pattern needs k >= 1")
-    return _matrix_from_columns(_chain_columns(k), k)
-
-
 def c2_generator(k: int) -> BitMatrix:
     """Generator (e1, e1, e1+e2, e2, e2+e3, ..., e_k, e_k); a (2k+1, k) code."""
     if k < 2:
         raise InvalidDimension("c2 needs k >= 2")
-    return chain_pattern_matrix(k)
+    return _matrix_from_columns(_chain_columns(k), k)
 
 
 def um_simplex(base_k: int) -> ConvCode:
     """Unit-memory code with taps g0 = [G G], g1 = [G 0] over a simplex G."""
     if not 1 <= base_k <= UM_MAX_BASE_K:
         raise InvalidDimension(f"um base dimension {base_k} outside 1..{UM_MAX_BASE_K}")
-    g = simplex_generator(base_k)
-    zero = BitMatrix.zero(base_k, g.cols)
-    return ConvCode(base_k, 2 * g.cols, hstack([g, g]), hstack([g, zero]))
+    g = _simplex_columns(base_k)
+    return ConvCode(base_k, 2 * len(g), _matrix_from_columns(g * 2, base_k),
+                    _matrix_from_columns(g + [0] * len(g), base_k))
 
 
 def sliding_generator(c: ConvCode, s: int) -> BitMatrix:
@@ -170,37 +183,6 @@ def sliding_generator(c: ConvCode, s: int) -> BitMatrix:
         for r in range(c.k):
             rows.append((c.g0.row_bits[r] << (t * nb)) | (c.g1.row_bits[r] << ((t + 1) * nb)))
     return BitMatrix((s + 1) * c.k, cols, tuple(rows))
-
-
-def tensor_expand(outer: BitMatrix, inner: BitMatrix) -> BitMatrix:
-    """Replace every 1 of outer by inner and every 0 by a zero block."""
-    rows = []
-    for bi in range(outer.rows):
-        orow = outer.row_bits[bi]
-        for r in range(inner.rows):
-            acc = 0
-            ob = orow
-            j = 0
-            while ob:
-                if ob & 1:
-                    acc |= inner.row_bits[r] << (j * inner.cols)
-                ob >>= 1
-                j += 1
-            rows.append(acc)
-    return BitMatrix(outer.rows * inner.rows, outer.cols * inner.cols, tuple(rows))
-
-
-def block_diag_repeat(inner: BitMatrix, x: int) -> BitMatrix:
-    """Block diagonal with x copies of inner."""
-    if x < 1:
-        raise InvalidDimension("repeat count must be >= 1")
-    return tensor_expand(BitMatrix.identity(x), inner)
-
-
-def um2prime_generator() -> BitMatrix:
-    """The 4x9 generator (G G 0; 0 G G) over the 2-dimensional simplex G."""
-    outer = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    return tensor_expand(outer, simplex_generator(2))
 
 
 def _make(code_id: str, family: str, generator: BitMatrix, **params) -> LinearCode:
@@ -238,26 +220,28 @@ def um_block_code(base_k: int, s: int) -> LinearCode:
 def c0_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional simplex code."""
     base = _repeat_base(k, x)
-    gen = block_diag_repeat(simplex_generator(base), x)
-    return _make(f"c0:{k}:{x}", "c0x", gen, x=x, base_k=base)
+    cols = _kron_columns([1 << i for i in range(x)], _simplex_columns(base), base)
+    return _make(f"c0:{k}:{x}", "c0x", _matrix_from_columns(cols, k), x=x, base_k=base)
 
 
 def c1_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional weight-2 code."""
     base = _repeat_base(k, x)
-    gen = block_diag_repeat(c1_generator(base), x)
-    return _make(f"c1:{k}:{x}", "c1x", gen, x=x, base_k=base)
+    cols = _kron_columns([1 << i for i in range(x)], _c1_columns(base), base)
+    return _make(f"c1:{k}:{x}", "c1x", _matrix_from_columns(cols, k), x=x, base_k=base)
 
 
 def tensor_um_code(k: int, x: int) -> LinearCode:
     """The (2x+1)(2^(k/x)-1)-length tensor of the chain pattern with a simplex."""
     base = _repeat_base(k, x)
-    gen = tensor_expand(chain_pattern_matrix(x), simplex_generator(base))
-    return _make(f"umx:{k}:{x}", "umx", gen, x=x, base_k=base)
+    cols = _kron_columns(_chain_columns(x), _simplex_columns(base), base)
+    return _make(f"umx:{k}:{x}", "umx", _matrix_from_columns(cols, k), x=x, base_k=base)
 
 
 def um2prime_code() -> LinearCode:
-    return _make("um2p4", "um2p4", um2prime_generator(), x=2, base_k=2)
+    """The 4x9 generator (G G 0; 0 G G) over the 2-dimensional simplex G."""
+    cols = _kron_columns([0b01, 0b11, 0b10], _simplex_columns(2), 2)
+    return _make("um2p4", "um2p4", _matrix_from_columns(cols, 4), x=2, base_k=2)
 
 
 def _repeat_base(k: int, x: int) -> int:

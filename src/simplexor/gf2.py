@@ -8,7 +8,7 @@ here is safe to share across threads and to use as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GF2Error(Exception):
@@ -78,11 +78,6 @@ class BitMatrix:
         """All columns packed as ints (bit i = entry in row i), in index order."""
         return transpose(self.row_bits, self.cols)
 
-    def select_columns(self, indices: Sequence[int]) -> BitMatrix:
-        """Submatrix keeping the given columns, in the given order."""
-        cols = self.columns_bits()
-        return BitMatrix(self.rows, len(indices), transpose([cols[j] for j in indices], self.rows))
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 
@@ -102,22 +97,6 @@ def transpose(vectors: Sequence[int], width: int) -> tuple[int, ...]:
     if len(text) != width * len(vectors):
         raise DimensionMismatch("vector has bits beyond the width")
     return tuple(int(text[i::width], 2) for i in range(width - 1, -1, -1))
-
-
-def hstack(mats: Sequence[BitMatrix]) -> BitMatrix:
-    """Concatenate matrices left to right."""
-    if not mats:
-        raise DimensionMismatch("nothing to stack")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionMismatch("row counts differ")
-    out = [0] * rows
-    shift = 0
-    for m in mats:
-        for i in range(rows):
-            out[i] |= m.row_bits[i] << shift
-        shift += m.cols
-    return BitMatrix(rows, shift, tuple(out))
 
 
 def reduce_rows(rows: list[int], width: int) -> list[int]:
@@ -174,8 +153,10 @@ def min_weight_nonzero_rowspan(m: BitMatrix, guard: int = 24) -> int:
     return best
 
 
-def format_matrix(m: BitMatrix) -> str:
-    """Text form: a "rows cols" header line, then one 0/1 line per row."""
-    # bit 0 first; [: m.cols] because a zero width formats as "0"
-    lines = (f"{r:0{m.cols}b}"[::-1][: m.cols] for r in m.row_bits)
-    return "\n".join([f"{m.rows} {m.cols}", *lines])
+def format_matrix(rows: int, cols: int, row_bits: Iterable[int]) -> Iterator[str]:
+    """Text form, line by line: a "rows cols" header, then one 0/1 line per
+    row, each made as it is read from row_bits."""
+    yield f"{rows} {cols}"
+    for r in row_bits:
+        # bit 0 first; [:cols] because a zero width formats as "0"
+        yield f"{r:0{cols}b}"[::-1][:cols]

@@ -31,7 +31,6 @@ from .codes import (
 )
 from .gf2 import TooLarge, min_weight_nonzero_rowspan
 from .repair import (
-    code_columns,
     easy_closure_for_mask,
     easy_steps,
     easy_table,
@@ -301,7 +300,7 @@ def verify_easy_repair_property(
     """Sweep erasure patterns; every correctable one must easy-repair.
     Exhaustive sweeps walk the erasure lattice (``_walk``) and report the
     first failure in (count, lex) order when capped, else the least mask."""
-    cols = code_columns(code)
+    cols = code.cols
     n, k = code.n, code.k
     if isinstance(mode, Exhaustive):
         cap = n if mode.max_erasures is None else min(mode.max_erasures, n)
@@ -328,7 +327,7 @@ def verify_parallel_capacity(
     code: LinearCode, r: int, e: int, mode: Exhaustive | Sampled, workers: int = 1
 ) -> VerifyReport:
     """Every pattern with exactly e erasures must admit parallel r-repair."""
-    cols = code_columns(code)
+    cols = code.cols
     n = code.n
     if not 0 <= e <= n:
         raise ValueError(f"erasure count {e} outside 0..{n}")
@@ -471,7 +470,7 @@ def um_census(base_k: int, s: int, time_index: int, caps=(2, 3, 4, 5)) -> UmCens
         raise ValueError(f"time_index {time_index} is not an interior block 1..{s - 1}")
     code = um_block_code(base_k, s)
     width = (1 << base_k) - 1
-    _check_half_block_symmetry(code_columns(code), base_k, (0, time_index))
+    _check_half_block_symmetry(code.cols, base_k, (0, time_index))
 
     def half(t: int, h: int, cap: int) -> tuple[int, ...]:
         return (max_disjoint_groups(code, um_node_index(base_k, t, h, 0), cap)[0],) * width
@@ -530,7 +529,7 @@ def monte_carlo_repair(
         raise ValueError("trials must be >= 1")
     if not 0 <= erasures <= code.n:
         raise ValueError("erasure count out of range")
-    cols = code_columns(code)
+    cols = code.cols
     pairs = easy_table(cols)
     tables = tuple(parallel_table(cols, r) for r in r_values)
     chunks = [partial(_sim_chunk, cols, code.k, pairs, tables, erasures, seed, lo, hi)

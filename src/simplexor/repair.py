@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
-from .gf2 import BitMatrix, DimensionMismatch
+from .gf2 import DimensionMismatch
 
 MAX_GROUP_SIZE = 6
 EASY_TABLE_MAX_NODES = 256
@@ -92,15 +92,6 @@ class AvailabilityProfile:
     code_level: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=256)
-def _cached_columns(generator: BitMatrix) -> tuple[int, ...]:
-    return generator.columns_bits()
-
-
-def code_columns(code: LinearCode) -> tuple[int, ...]:
-    return _cached_columns(code.generator)
-
-
 def full_rank_on_live(cols: Sequence[int], erased_mask: int, k: int) -> bool:
     """True iff the columns outside erased_mask reach rank k: for a code's
     columns, iff they span GF(2)^k."""
@@ -126,7 +117,7 @@ def is_correctable(code: LinearCode, pattern: ErasurePattern) -> bool:
     """True iff the live columns still span GF(2)^k."""
     if pattern.n != code.n:
         raise DimensionMismatch("pattern length does not match code length")
-    return full_rank_on_live(code_columns(code), _index_mask(pattern.erased), code.k)
+    return full_rank_on_live(code.cols, _index_mask(pattern.erased), code.k)
 
 
 class PairRows:
@@ -154,12 +145,16 @@ class PairRows:
                         yield 1 << i | 1 << j
 
 
+# one value index per long code, so repeated plans and sweeps share it
+_pair_rows = lru_cache(maxsize=8)(PairRows)
+
+
 def easy_table(cols: tuple[int, ...]) -> Sequence[Iterable[int]]:
     """The size-<=2 group table that easy repair reads: whole up to
     EASY_TABLE_MAX_NODES nodes (simplex:8, 32k masks of 255 bits), else
     made row by row, as the whole table of simplex:10 holds 523k masks of
     1,023 bits and that of simplex:14 134M masks of 16,383 bits."""
-    return _group_table(cols, 2) if len(cols) <= EASY_TABLE_MAX_NODES else PairRows(cols)
+    return _group_table(cols, 2) if len(cols) <= EASY_TABLE_MAX_NODES else _pair_rows(cols)
 
 
 def easy_steps(
@@ -199,7 +194,7 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     theorem violation when the input was correctable and the family
     guarantees easy repair.
     """
-    raw_steps, remaining = easy_steps(easy_table(code_columns(code)), pattern.erased)
+    raw_steps, remaining = easy_steps(easy_table(code.cols), pattern.erased)
     steps = tuple(RepairStep(t, h, i) for i, (t, h) in enumerate(raw_steps))
     if remaining:
         residual = ErasurePattern(pattern.n, frozenset(remaining))
@@ -323,7 +318,7 @@ def _groups_of(code: LinearCode, target: int, max_size: int) -> tuple[int, ...]:
     _checked_size(max_size)
     if not 0 <= target < code.n:
         raise DimensionMismatch("target index out of range")
-    return _group_table(code_columns(code), max_size)[target]
+    return _group_table(code.cols, max_size)[target]
 
 
 def enumerate_repair_groups(code: LinearCode, target: int, max_size: int) -> list[RepairGroup]:
@@ -552,7 +547,7 @@ def max_disjoint_groups(
     if code.n > PACKING_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds packing guard {PACKING_MAX_NODES}")
     groups = _groups_of(code, target, max_size)
-    packing = _max_packing(groups, _projection_bound(code_columns(code), target, code.k))
+    packing = _max_packing(groups, _projection_bound(code.cols, target, code.k))
     return len(packing), [RepairGroup(target, frozenset(mask_indices(g))) for g in packing]
 
 
@@ -579,7 +574,7 @@ def locality(code: LinearCode) -> int:
     """Max over nodes of the smallest repair-group size."""
     if code.n > PROFILE_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds locality guard {PROFILE_MAX_NODES}")
-    cols = code_columns(code)
+    cols = code.cols
     worst = 0
     for node in range(code.n):
         groups = _group_table(cols, 2)[node] or _group_table(cols, MAX_GROUP_SIZE)[node]
@@ -618,7 +613,7 @@ def parallel_repair_plan(
 ) -> RepairPlan | RepairFailure:
     """One all-live repair group of size <= r per erased node, independently:
     the first in its parallel_table order."""
-    table = parallel_table(code_columns(code), r)
+    table = parallel_table(code.cols, r)
     erased_mask = _index_mask(pattern.erased)
     steps: list[RepairStep] = []
     unrepaired: list[int] = []

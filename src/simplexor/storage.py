@@ -23,7 +23,6 @@ from .repair import (
     ErasurePattern,
     RepairFailure,
     RepairPlan,
-    code_columns,
     easy_repair_plan,
     is_correctable,
 )
@@ -268,7 +267,7 @@ def _live_recipe(code_id: str, erased: tuple[int, ...]) -> tuple[tuple[int, ...]
     Built once per code and erased set, a key that stays small on long codes.
     """
     code = _code_for_id(code_id)
-    cols = code_columns(code)
+    cols = code.cols
     live = sorted(set(range(code.n)).difference(erased), key=lambda j: (cols[j].bit_count(), j))
     live_sub = transpose([cols[j] for j in live], code.k)
     k, width = code.k, len(live)

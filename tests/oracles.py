@@ -12,7 +12,7 @@ import zlib
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode
-from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows
+from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows, transpose
 from simplexor.storage import NotCorrectable, Shard, ShardManifest
 
 
@@ -28,6 +28,22 @@ def codeword(generator: BitMatrix, message_bits: int) -> int:
 def transpose_by_bits(vectors: Sequence[int], width: int) -> tuple[int, ...]:
     """gf2.transpose one bit at a time: result i has bit j = bit i of vectors[j]."""
     return tuple(sum(((v >> i) & 1) << j for j, v in enumerate(vectors)) for i in range(width))
+
+
+def select_columns(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
+    """Submatrix keeping the given columns, in the given order."""
+    cols = m.columns_bits()
+    return BitMatrix(m.rows, len(indices), transpose([cols[j] for j in indices], m.rows))
+
+
+def kron_by_bits(outer: BitMatrix, inner: BitMatrix) -> BitMatrix:
+    """The Kronecker product one entry at a time: entry
+    (i * inner.rows + r, j * inner.cols + c) is outer[i][j] * inner[r][c]."""
+    rows = tuple(
+        sum(((outer.row_bits[i] >> j) & (inner.row_bits[r] >> c) & 1) << (j * inner.cols + c)
+            for j in range(outer.cols) for c in range(inner.cols))
+        for i in range(outer.rows) for r in range(inner.rows))
+    return BitMatrix(outer.rows * inner.rows, outer.cols * inner.cols, rows)
 
 
 def solve_right(m: BitMatrix, target: int) -> int | None:
@@ -76,7 +92,7 @@ def is_correctable_via_parity(
 ) -> bool:
     """Cross-check route: the erased parity-check columns are independent."""
     h = parity if parity is not None else nullspace(code.generator)
-    sub = h.select_columns(sorted(erased))
+    sub = select_columns(h, sorted(erased))
     return rank(BitMatrix(sub.cols, sub.rows, sub.columns_bits())) == sub.cols
 
 
@@ -111,7 +127,7 @@ def decode_by_solving(manifest: ShardManifest, generator: BitMatrix, shards: Ite
     sound = sorted((sh.index, sh.data) for sh in shards
                    if len(sh.data) == manifest.fragment_length
                    and f"{zlib.crc32(sh.data):08x}" == manifest.checksums[sh.index])
-    sub = generator.select_columns([j for j, _ in sound])
+    sub = select_columns(generator, [j for j, _ in sound])
     transposed = BitMatrix(sub.cols, sub.rows, sub.columns_bits())
     solutions = [solve_right(transposed, 1 << i) for i in range(generator.rows)]
     if None in solutions:

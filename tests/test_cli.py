@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,29 @@ def test_gen_writes_file(tmp_path, capsys):
     assert status == 0
     assert out == ""
     assert target.read_text().startswith("3 6\n")
+
+
+def test_gen_prints_what_it_writes(tmp_path, capsys):
+    target = tmp_path / "g.txt"
+    status, out, _ = run(capsys, "gen", "--code", "simplex:4", "--out", str(target), "--print")
+    assert status == 0
+    assert out == target.read_text()
+    assert out.startswith("4 15\n") and "\n\n11 15\n" in out
+
+
+def test_gen_streams_a_long_parity_check(tmp_path):
+    """gen writes each line as it is made: the 4,083 x 4,095 parity check of
+    simplex:12, 16 MB of text, is never held whole."""
+    target = tmp_path / "g.txt"
+    tracemalloc.start()
+    try:
+        status = main(["gen", "--code", "simplex:12", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert target.stat().st_size == (12 + 4083) * 4096 + len("12 4095\n\n4083 4095\n")
+    assert peak < 4 << 20
 
 
 def test_gen_rejects_unknown_code(capsys):

@@ -2,34 +2,33 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from simplexor.codes import (
     InvalidCodeId,
     InvalidDimension,
-    block_diag_repeat,
+    _kron_columns,
+    _matrix_from_columns,
     c0_repeat_code,
     c1_code,
     c1_generator,
     c1_repeat_code,
     c2_code,
     c2_generator,
-    chain_pattern_matrix,
     code_shape,
     parse_code_id,
     simplex_code,
     simplex_generator,
     simplex_parity_check,
     sliding_generator,
-    tensor_expand,
     tensor_um_code,
     um2prime_code,
-    um2prime_generator,
     um_block_code,
     um_simplex,
     weight2_matrix,
 )
-from oracles import codeword
-from simplexor.gf2 import BitMatrix, hstack, rank
+from oracles import codeword, kron_by_bits, select_columns, transpose_by_bits
+from simplexor.gf2 import BitMatrix, rank
 
 SIMPLEX3_G = BitMatrix.from_rows(
     [
@@ -106,6 +105,16 @@ def test_generator_rows_are_pinned():
     assert h.hexdigest() == PINNED_ROWS_DIGEST
 
 
+def test_code_cols_are_the_generator_columns_made_once():
+    for code_id in PINNED_ROWS_IDS:
+        code = parse_code_id(code_id)
+        assert code.cols == code.generator.columns_bits()
+        assert code.cols is code.cols
+        # not a field: equality and hash ignore it
+        assert code == parse_code_id(code_id)
+        assert hash(code) == hash(parse_code_id(code_id))
+
+
 @pytest.mark.parametrize("k", range(2, 6))
 def test_simplex_column_closure(k):
     g = simplex_generator(k)
@@ -129,14 +138,12 @@ def test_c1_shapes():
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_weight2_matrix_recursion(k):
-    # first row: ones over the pairs containing row 0, then zeros;
-    # below: the identity next to the one-dimension-smaller matrix
-    inner = weight2_matrix(k - 1)
-    ones = BitMatrix(1, k - 1, ((1 << (k - 1)) - 1,))
-    zeros = BitMatrix(1, inner.cols, (0,))
-    top = hstack([ones, zeros])
-    bottom = hstack([BitMatrix.identity(k - 1), inner])
-    assert weight2_matrix(k) == BitMatrix(k, top.cols, top.row_bits + bottom.row_bits)
+    # first the pairs containing row 0: row 0 plus each unit vector below;
+    # then the one-dimension-smaller matrix, one row down
+    inner = weight2_matrix(k - 1).columns_bits()
+    expected = tuple(1 | 1 << j for j in range(1, k)) + tuple(c << 1 for c in inner)
+    assert weight2_matrix(k).rows == k
+    assert weight2_matrix(k).columns_bits() == expected
 
 
 def test_c2_of_dimension_two():
@@ -157,26 +164,27 @@ def test_um_simplex_taps():
     conv = um_simplex(2)
     g = simplex_generator(2)
     assert conv.n_block == 6
-    assert conv.g0 == hstack([g, g])
-    assert conv.g1 == hstack([g, BitMatrix.zero(2, 3)])
+    assert conv.g0.columns_bits() == g.columns_bits() * 2
+    assert conv.g1.columns_bits() == g.columns_bits() + (0,) * 3
     assert um_simplex(3).n_block == 14
-    assert conv.g1.select_columns(range(3)) == g
+    assert select_columns(conv.g1, range(3)) == g
 
 
 def test_sliding_generator_horizon_zero_is_the_tap_pair():
     conv = um_simplex(2)
-    assert sliding_generator(conv, 0) == hstack([conv.g0, conv.g1])
+    total = sliding_generator(conv, 0)
+    assert total.rows == conv.k
+    assert total.columns_bits() == conv.g0.columns_bits() + conv.g1.columns_bits()
 
 
 def test_sliding_generator_staircase():
     conv = um_simplex(2)
     total = sliding_generator(conv, 1)
     assert (total.rows, total.cols) == (4, 18)
-    g = simplex_generator(2)
-    z = BitMatrix.zero(2, 3)
-    top = hstack([g, g, g, z, z, z])
-    bottom = hstack([z, z, g, g, g, z])
-    assert total == BitMatrix(4, 18, top.row_bits + bottom.row_bits)
+    g = simplex_generator(2).columns_bits()
+    # column blocks (G;0) (G;0) (G;G) (0;G) (0;G) (0;0)
+    expected = g * 2 + tuple(c | c << 2 for c in g) + tuple(c << 2 for c in g) * 2 + (0,) * 3
+    assert total.columns_bits() == expected
     assert all(total.columns_bits()[j] == 0 for j in range(15, 18))
 
 
@@ -197,31 +205,39 @@ def test_sliding_generator_matches_per_time_convolution():
             assert got == expect
 
 
-def test_tensor_expand_identities():
-    inner = simplex_generator(2)
-    assert tensor_expand(BitMatrix.from_rows([[1]]), inner) == inner
-    assert tensor_expand(BitMatrix.identity(3), inner) == block_diag_repeat(inner, 3)
+@st.composite
+def column_matrices(draw):
+    # 0-3 rows and up to 4 columns, drawn by column so that zero columns come up
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << rows) - 1)), max_size=4))
+    return BitMatrix(rows, len(cols), transpose_by_bits(cols, rows))
+
+
+@given(column_matrices(), column_matrices())
+@example(BitMatrix(0, 2, ()), BitMatrix(2, 3, (0b011, 0b110)))
+@example(BitMatrix(2, 3, (0b011, 0b110)), BitMatrix(2, 2, (0b01, 0b00)))
+def test_kron_columns_match_the_bit_by_bit_product(outer, inner):
+    cols = _kron_columns(list(outer.columns_bits()), list(inner.columns_bits()), inner.rows)
+    assert _matrix_from_columns(cols, outer.rows * inner.rows) == kron_by_bits(outer, inner)
 
 
 @pytest.mark.parametrize("x,base", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
 def test_tensor_chain_equals_sliding_matrix_without_zero_block(x, base):
-    tensored = tensor_expand(chain_pattern_matrix(x), simplex_generator(base))
     total = sliding_generator(um_simplex(base), x - 1)
     half = (1 << base) - 1
-    trimmed = total.select_columns(range(total.cols - half))
-    assert tensored == trimmed
+    trimmed = select_columns(total, range(total.cols - half))
+    assert tensor_um_code(x * base, x).generator == trimmed
 
 
 def test_block_diag_repeat_basics():
-    g = simplex_generator(3)
-    assert block_diag_repeat(g, 1) == g
-    rep = block_diag_repeat(g, 2)
+    assert c0_repeat_code(3, 1).generator == simplex_generator(3)
+    rep = c0_repeat_code(6, 2).generator
     assert (rep.rows, rep.cols) == (6, 14)
     assert rank(rep) == 6
 
 
 def test_um2prime_generator():
-    g = um2prime_generator()
+    g = um2prime_code().generator
     assert (g.rows, g.cols) == (4, 9)
     assert rank(g) == 4
 

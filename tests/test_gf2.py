@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import codeword, nullspace, solve_right, transpose_by_bits
+from oracles import codeword, nullspace, select_columns, solve_right, transpose_by_bits
 from simplexor.codes import simplex_generator, weight2_matrix
 from simplexor.gf2 import (
     BitMatrix,
@@ -11,7 +11,6 @@ from simplexor.gf2 import (
     RankZero,
     TooLarge,
     format_matrix,
-    hstack,
     min_weight_nonzero_rowspan,
     rank,
     transpose,
@@ -29,6 +28,10 @@ def bit_matrices(draw, max_rows=8, max_cols=16):
     return BitMatrix(rows, cols, tuple(bits))
 
 
+def _text(m):
+    return "\n".join(format_matrix(m.rows, m.cols, m.row_bits))
+
+
 def _transpose(m):
     return BitMatrix(m.cols, m.rows, m.columns_bits())
 
@@ -41,12 +44,12 @@ def test_bitmatrix_rejects_ragged_and_wide_rows():
 
 
 def test_matrix_text_roundtrip_golden():
-    assert format_matrix(simplex_generator(3)) == SIMPLEX3_TEXT
+    assert _text(simplex_generator(3)) == SIMPLEX3_TEXT
 
 
 @given(bit_matrices())
 def test_matrix_text_roundtrip(m):
-    head, *lines = format_matrix(m).split("\n")
+    head, *lines = _text(m).split("\n")
     assert head == f"{m.rows} {m.cols}"
     assert all(len(line) == m.cols for line in lines)
     assert tuple(int(line[::-1], 2) for line in lines) == m.row_bits
@@ -82,23 +85,24 @@ def test_transpose_rejects_a_vector_wider_than_the_width():
 def test_columns_and_column_selection_match_the_bit_loops(m, data):
     assert m.columns_bits() == transpose_by_bits(m.row_bits, m.cols)
     picks = [] if data is None else data.draw(st.lists(st.integers(0, m.cols - 1), max_size=8))
-    sub = m.select_columns(picks)
+    sub = select_columns(m, picks)
     assert (sub.rows, sub.cols) == (m.rows, len(picks))
     assert sub.row_bits == tuple(sum(((r >> j) & 1) << pos for pos, j in enumerate(picks))
                                  for r in m.row_bits)
 
 
 def test_matrix_text_of_zero_width_rows_is_empty_lines():
-    assert format_matrix(BitMatrix(2, 0, (0, 0))) == "2 0\n\n"
+    assert _text(BitMatrix(2, 0, (0, 0))) == "2 0\n\n"
 
 
 def test_stacking():
-    a = BitMatrix.identity(2)
-    b = BitMatrix.zero(2, 2)
-    assert hstack([a, b]) == BitMatrix(2, 4, (0b0001, 0b0010))
-    assert hstack([b, a]).row_bits == (0b0100, 0b1000)
+    # matrices side by side: the rows of their concatenated column lists
+    a = BitMatrix.identity(2).columns_bits()
+    b = BitMatrix.zero(2, 2).columns_bits()
+    assert transpose(a + b, 2) == (0b0001, 0b0010)
+    assert transpose(b + a, 2) == (0b0100, 0b1000)
     with pytest.raises(DimensionMismatch):
-        hstack([a, BitMatrix.zero(3, 1)])
+        transpose(a + (0b100,), 2)
 
 
 def test_rank_simplex3():
@@ -133,7 +137,7 @@ def test_right_invertible_identity_and_zero_row():
 
 
 def test_right_invertible_live_subgenerator():
-    g = simplex_generator(3).select_columns([2, 4, 6])
+    g = select_columns(simplex_generator(3), [2, 4, 6])
     assert rank(g) == g.rows
 
 
@@ -150,7 +154,7 @@ def test_solve_right_recovers_message_from_live_columns():
     g = simplex_generator(3)
     rng = random.Random(7)
     live = [2, 4, 6]
-    sub = g.select_columns(live)
+    sub = select_columns(g, live)
     for _ in range(20):
         u = rng.getrandbits(3)
         c = codeword(g, u)

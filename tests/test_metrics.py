@@ -42,7 +42,6 @@ from simplexor.metrics import (
 )
 from simplexor.repair import (
     InvalidBound,
-    code_columns,
     easy_closure_for_mask,
     easy_table,
     full_rank_on_live,
@@ -291,7 +290,7 @@ def _reference_easy_sweep(code, cap=None):
     pattern.  Uncapped it runs over the masks in integer order, capped over
     the e-subsets in (e, lex) order; the counterexample is the first
     failure in that order."""
-    cols, n = code_columns(code), code.n
+    cols, n = code.cols, code.n
     pairs = easy_table(cols)
     if cap is None:
         patterns = range(1 << n)
@@ -394,7 +393,7 @@ def _correctable_counts(code):
     "code", [simplex_code(3), c2_code(4), um_block_code(2, 1)], ids=lambda c: c.code_id
 )
 def test_walk_counts_match_the_critical_theorem(code):
-    cols = code_columns(code)
+    cols = code.cols
     pairs = easy_table(cols)
     per_e = [metrics._walk_chunk(cols, code.k, pairs, e, 0, comb(code.n, e))[1]
              for e in range(code.n + 1)]
@@ -547,7 +546,7 @@ def test_half_block_symmetry_check_rejects_changed_columns():
     enter the repair groups of the nodes it reads. So must swapping the two
     halves' node 0 of block 1, which keeps the columns as a multiset."""
     code = um_block_code(2, 3)
-    cols = code_columns(code)
+    cols = code.cols
     metrics._check_half_block_symmetry(cols, 2, (0, 1))
     changed = []
     for node in range(code.n):

@@ -25,7 +25,6 @@ from simplexor.repair import (
     RepairFailure,
     RepairPlan,
     availability_profile,
-    code_columns,
     easy_closure_for_mask,
     easy_repair_plan,
     easy_steps,
@@ -195,7 +194,7 @@ def test_easy_closure_verdict_matches_plan(code, bits):
     mask = bits & ((1 << code.n) - 1)
     pattern = _pattern(code, [j for j in range(code.n) if (mask >> j) & 1])
     plan = easy_repair_plan(code, pattern)
-    pairs = easy_table(code_columns(code))
+    pairs = easy_table(code.cols)
     assert easy_closure_for_mask(pairs, mask) == isinstance(plan, RepairPlan)
 
 
@@ -242,7 +241,7 @@ def test_enumerate_groups_replication():
     ids=lambda c: c.code_id,
 )
 def test_enumerated_groups_xor_to_target_and_are_minimal(code):
-    cols = code_columns(code)
+    cols = code.cols
     for target in range(0, code.n, 3):
         for group in enumerate_repair_groups(code, target, 3):
             helpers = sorted(group.helpers)
@@ -293,7 +292,7 @@ def _brute_force_groups(cols, target, cap):
 )
 def test_enumerated_groups_match_brute_force(code, cap):
     # um:2:2 has zero columns (zero targets among them) and duplicate columns
-    cols = code_columns(code)
+    cols = code.cols
     for target in range(code.n):
         got = [tuple(sorted(g.helpers)) for g in enumerate_repair_groups(code, target, cap)]
         assert got == _brute_force_groups(cols, target, cap)
@@ -344,11 +343,18 @@ def test_easy_plan_on_a_long_code_makes_no_group_table(monkeypatch):
     """simplex:14 has n = 16,383: its whole size-<=2 table would hold about
     134M masks of 16,383 bits, so a plan reads PairRows rows only."""
     code = simplex_code(14)
-    cols = code_columns(code)
+    cols = code.cols
     monkeypatch.setattr(repair, "_group_table", None)
     erased = (0, 1, 2, 5, 700, code.n - 1)
     plan = easy_repair_plan(code, _pattern(code, erased))
     assert [(s.target, s.helpers) for s in plan.steps] == list(easy_steps_by_value(cols, erased)[0])
+
+
+def test_easy_table_of_a_long_code_is_built_once():
+    """Above EASY_TABLE_MAX_NODES the row-by-row table and its value index
+    are made once per code, not on every plan."""
+    cols = simplex_code(12).cols
+    assert easy_table(cols) is easy_table(cols)
 
 
 @st.composite
@@ -419,7 +425,7 @@ def test_max_disjoint_pairs_weight2_code(k):
 
 
 def _assert_packing_valid(code, target, witness):
-    cols = code_columns(code)
+    cols = code.cols
     seen = set()
     for group in witness:
         helpers = set(group.helpers)
@@ -524,7 +530,7 @@ def test_packing_solver_graph_and_cover_match_the_groups(groups):
 
 def test_projection_bound_is_a_valid_upper_bound():
     for code in (simplex_code(3), c2_code(4), um_block_code(2, 2)):
-        cols = code_columns(code)
+        cols = code.cols
         for target in range(0, code.n, 2):
             bound = _projection_bound(cols, target, code.k)
             count, _ = max_disjoint_groups(code, target, 4)
@@ -540,7 +546,7 @@ def test_projection_hint_never_changes_the_packing(code):
     """The search must reach the same maximum with and without the
     row-projection upper bound, else the bound would be cutting below
     the true optimum."""
-    cols = code_columns(code)
+    cols = code.cols
     for target in range(0, code.n, 3):
         for cap in (2, 3, 4):
             groups = _group_table(cols, cap)[target]
@@ -598,7 +604,7 @@ def test_availability_profile_simplex3():
     profile = availability_profile(code, 2)
     assert profile.code_level == ((1, 0), (2, 3))
     assert all(counts[1] == 3 for counts in profile.per_node)
-    cols = code_columns(code)
+    cols = code.cols
     for node in range(code.n):
         for r in (1, 2):
             count, witness = max_disjoint_groups(code, node, r)

@@ -10,14 +10,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import decode_by_solving, encode_by_columns, solve_right, xor_bytes
+from oracles import decode_by_solving, encode_by_columns, select_columns, solve_right, xor_bytes
 from simplexor import storage
 from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code, um_simplex
 from simplexor.gf2 import BitMatrix
 from simplexor.repair import (
     RepairFailure,
     ErasurePattern,
-    code_columns,
     easy_repair_plan,
     is_correctable,
 )
@@ -298,7 +297,7 @@ def test_repair_fallback_rebuilds_a_column_from_an_erased_earlier_one(monkeypatc
     (column 6) XOR fragment 0.  With both erased and the plan stalled, the
     decode fallback rebuilds shard 7 before it reads it for shard 10."""
     code = parse_code_id("simplex:4")
-    cols = code_columns(code)
+    cols = code.cols
     assert (cols[7], cols[10]) == (6, 7)
     assert dict(storage._encode_steps(code.generator))[10] == (7, code.n)
     manifest, shards = encode_object(code, random.Random(8).randbytes(1000))
@@ -380,7 +379,7 @@ def test_decode_recipe_matches_solve_right(code_id):
     supported on the first independent live columns in (weight, index)
     order, which solve_right finds with its free variables set to zero."""
     code = parse_code_id(code_id)
-    cols = code_columns(code)
+    cols = code.cols
     rng = random.Random(31)
     for _ in range(20):
         while True:
@@ -389,7 +388,7 @@ def test_decode_recipe_matches_solve_right(code_id):
             if is_correctable(code, pattern):
                 break
         order = sorted(live, key=lambda j: (cols[j].bit_count(), j))
-        live_sub = code.generator.select_columns(order)
+        live_sub = select_columns(code.generator, order)
         transposed = BitMatrix(live_sub.cols, live_sub.rows, live_sub.columns_bits())
         for i, indices in enumerate(_live_recipe(code_id, tuple(sorted(pattern.erased)))):
             x = solve_right(transposed, 1 << i)
@@ -584,7 +583,7 @@ def test_decode_hashes_only_the_shards_it_reads(monkeypatch):
     code = parse_code_id("um:2:3")
     manifest, shards = encode_object(code, payload)
     shards = _distinct_copies(shards)
-    cols = code_columns(code)
+    cols = code.cols
     units = [min(j for j, col in enumerate(cols) if col == 1 << i) for i in range(code.k)]
     counted = _Counted(monkeypatch)
     assert decode_object(manifest, shards) == payload
