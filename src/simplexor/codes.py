@@ -89,7 +89,7 @@ def _kron_columns(outer: list[int], inner: list[int], k_inner: int) -> list[int]
     return [c * m for m in spreads for c in inner]
 
 
-def _simplex_columns(k: int) -> list[int]:
+def simplex_columns(k: int) -> list[int]:
     """All 2^k - 1 nonzero vectors of GF(2)^k, Hamming weight ascending, ties
     broken by column value (row 0 = most significant bit) descending, which
     is the lex order of the supports: the first k are the unit vectors."""
@@ -100,14 +100,14 @@ def _simplex_columns(k: int) -> list[int]:
 
 
 def simplex_generator(k: int) -> BitMatrix:
-    """The k x (2^k - 1) generator whose columns are _simplex_columns(k)."""
-    return _matrix_from_columns(_simplex_columns(k), k)
+    """The k x (2^k - 1) generator whose columns are simplex_columns(k)."""
+    return _matrix_from_columns(simplex_columns(k), k)
 
 
 def simplex_parity_rows(k: int) -> Iterator[int]:
     """The rows of simplex_parity_check(k), made one at a time from the
     simplex columns: row t is column k + t plus bit k + t."""
-    for t, pc in enumerate(_simplex_columns(k)[k:]):
+    for t, pc in enumerate(simplex_columns(k)[k:]):
         yield pc | 1 << (k + t)
 
 
@@ -126,14 +126,6 @@ def _c1_columns(k: int) -> list[int]:
     if not 2 <= k <= SIMPLEX_MAX_K:
         raise InvalidDimension(f"c1 dimension {k} outside 2..{SIMPLEX_MAX_K}")
     return [1 << i for i in range(k)] + [1 << i | 1 << j for i in range(k) for j in range(i + 1, k)]
-
-
-def weight2_matrix(k: int) -> BitMatrix:
-    """The k x k(k-1)/2 matrix whose columns are all weight-2 vectors, with
-    support {i, j}, i < j, in lex order: the pairs holding row 0 first."""
-    if k < 2:
-        raise InvalidDimension("weight-2 columns need k >= 2")
-    return _matrix_from_columns(_c1_columns(k)[k:], k)
 
 
 def c1_generator(k: int) -> BitMatrix:
@@ -163,7 +155,7 @@ def um_simplex(base_k: int) -> ConvCode:
     """Unit-memory code with taps g0 = [G G], g1 = [G 0] over a simplex G."""
     if not 1 <= base_k <= UM_MAX_BASE_K:
         raise InvalidDimension(f"um base dimension {base_k} outside 1..{UM_MAX_BASE_K}")
-    g = _simplex_columns(base_k)
+    g = simplex_columns(base_k)
     return ConvCode(base_k, 2 * len(g), _matrix_from_columns(g * 2, base_k),
                     _matrix_from_columns(g + [0] * len(g), base_k))
 
@@ -220,7 +212,7 @@ def um_block_code(base_k: int, s: int) -> LinearCode:
 def c0_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional simplex code."""
     base = _repeat_base(k, x)
-    cols = _kron_columns([1 << i for i in range(x)], _simplex_columns(base), base)
+    cols = _kron_columns([1 << i for i in range(x)], simplex_columns(base), base)
     return _make(f"c0:{k}:{x}", "c0x", _matrix_from_columns(cols, k), x=x, base_k=base)
 
 
@@ -234,13 +226,13 @@ def c1_repeat_code(k: int, x: int) -> LinearCode:
 def tensor_um_code(k: int, x: int) -> LinearCode:
     """The (2x+1)(2^(k/x)-1)-length tensor of the chain pattern with a simplex."""
     base = _repeat_base(k, x)
-    cols = _kron_columns(_chain_columns(x), _simplex_columns(base), base)
+    cols = _kron_columns(_chain_columns(x), simplex_columns(base), base)
     return _make(f"umx:{k}:{x}", "umx", _matrix_from_columns(cols, k), x=x, base_k=base)
 
 
 def um2prime_code() -> LinearCode:
     """The 4x9 generator (G G 0; 0 G G) over the 2-dimensional simplex G."""
-    cols = _kron_columns([0b01, 0b11, 0b10], _simplex_columns(2), 2)
+    cols = _kron_columns([0b01, 0b11, 0b10], simplex_columns(2), 2)
     return _make("um2p4", "um2p4", _matrix_from_columns(cols, 4), x=2, base_k=2)
 
 

@@ -23,7 +23,7 @@ from .codes import (
     c1_code,
     c1_repeat_code,
     simplex_code,
-    simplex_generator,
+    simplex_columns,
     sliding_generator,
     tensor_um_code,
     um2prime_code,
@@ -443,7 +443,7 @@ def _check_half_block_symmetry(cols, base_k: int, time_indices) -> None:
     block, permutes cols and takes node (t, h, 0) to node (t, h, j) for every
     t in time_indices. Such a bijection maps circuits to circuits, so it
     carries disjoint repair groups of the one node onto those of the other."""
-    g = simplex_generator(base_k).columns_bits()
+    g = simplex_columns(base_k)
     a = g[0].bit_length() - 1  # g_0 = e_a
     low = (1 << base_k) - 1
     for j, gj in enumerate(g):

@@ -145,16 +145,12 @@ class PairRows:
                         yield 1 << i | 1 << j
 
 
-# one value index per long code, so repeated plans and sweeps share it
-_pair_rows = lru_cache(maxsize=8)(PairRows)
-
-
 def easy_table(cols: tuple[int, ...]) -> Sequence[Iterable[int]]:
     """The size-<=2 group table that easy repair reads: whole up to
     EASY_TABLE_MAX_NODES nodes (simplex:8, 32k masks of 255 bits), else
     made row by row, as the whole table of simplex:10 holds 523k masks of
     1,023 bits and that of simplex:14 134M masks of 16,383 bits."""
-    return _group_table(cols, 2) if len(cols) <= EASY_TABLE_MAX_NODES else _pair_rows(cols)
+    return _group_table(cols, 2) if len(cols) <= EASY_TABLE_MAX_NODES else PairRows(cols)
 
 
 def easy_steps(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode
@@ -34,6 +35,13 @@ def select_columns(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
     """Submatrix keeping the given columns, in the given order."""
     cols = m.columns_bits()
     return BitMatrix(m.rows, len(indices), transpose([cols[j] for j in indices], m.rows))
+
+
+def weight2_matrix(k: int) -> BitMatrix:
+    """The k x k(k-1)/2 matrix whose columns are all weight-2 vectors, with
+    support {i, j}, i < j, in lex order: the pairs holding row 0 first."""
+    cols = [1 << i | 1 << j for i, j in combinations(range(k), 2)]
+    return BitMatrix(k, len(cols), transpose(cols, k))
 
 
 def kron_by_bits(outer: BitMatrix, inner: BitMatrix) -> BitMatrix:

@@ -25,9 +25,8 @@ from simplexor.codes import (
     um2prime_code,
     um_block_code,
     um_simplex,
-    weight2_matrix,
 )
-from oracles import codeword, kron_by_bits, select_columns, transpose_by_bits
+from oracles import codeword, kron_by_bits, select_columns, transpose_by_bits, weight2_matrix
 from simplexor.gf2 import BitMatrix, rank
 
 SIMPLEX3_G = BitMatrix.from_rows(
@@ -138,11 +137,12 @@ def test_c1_shapes():
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_weight2_matrix_recursion(k):
-    # first the pairs containing row 0: row 0 plus each unit vector below;
-    # then the one-dimension-smaller matrix, one row down
-    inner = weight2_matrix(k - 1).columns_bits()
+    # c1's columns after its k unit columns, as the oracle's: first the pairs
+    # containing row 0, row 0 plus each unit vector below; then those of
+    # c1 one dimension smaller, one row down
+    inner = c1_generator(k - 1).columns_bits()[k - 1:]
     expected = tuple(1 | 1 << j for j in range(1, k)) + tuple(c << 1 for c in inner)
-    assert weight2_matrix(k).rows == k
+    assert c1_generator(k).columns_bits()[k:] == expected
     assert weight2_matrix(k).columns_bits() == expected
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import codeword, nullspace, select_columns, solve_right, transpose_by_bits
-from simplexor.codes import simplex_generator, weight2_matrix
+from oracles import codeword, nullspace, select_columns, solve_right, transpose_by_bits, weight2_matrix
+from simplexor.codes import simplex_generator
 from simplexor.gf2 import (
     BitMatrix,
     DimensionMismatch,

@@ -67,7 +67,7 @@ def test_chain_code_distance(k):
 
 @pytest.mark.parametrize("k", range(2, 11))
 def test_weight2_rowspan_minimum_weight(k):
-    from simplexor.codes import weight2_matrix
+    from oracles import weight2_matrix
     from simplexor.gf2 import min_weight_nonzero_rowspan
 
     assert min_weight_nonzero_rowspan(weight2_matrix(k)) == k - 1

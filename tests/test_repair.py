@@ -350,13 +350,6 @@ def test_easy_plan_on_a_long_code_makes_no_group_table(monkeypatch):
     assert [(s.target, s.helpers) for s in plan.steps] == list(easy_steps_by_value(cols, erased)[0])
 
 
-def test_easy_table_of_a_long_code_is_built_once():
-    """Above EASY_TABLE_MAX_NODES the row-by-row table and its value index
-    are made once per code, not on every plan."""
-    cols = simplex_code(12).cols
-    assert easy_table(cols) is easy_table(cols)
-
-
 @st.composite
 def wide_columns(draw):
     """Columns of a random matrix of 5 to 7 rows and at most 10 columns,
