@@ -1,79 +1,3 @@
 """XOR-only erasure coding with simplex-style locality and easy repair."""
 
-from .codes import (
-    ConvCode,
-    LinearCode,
-    c0_repeat_code,
-    c1_code,
-    c1_generator,
-    c1_repeat_code,
-    c2_code,
-    c2_generator,
-    parse_code_id,
-    simplex_code,
-    simplex_generator,
-    simplex_parity_check,
-    sliding_generator,
-    tensor_um_code,
-    um2prime_code,
-    um_block_code,
-    um_simplex,
-)
-from .gf2 import BitMatrix
-from .repair import (
-    AvailabilityProfile,
-    ErasurePattern,
-    RepairFailure,
-    RepairGroup,
-    RepairPlan,
-    RepairStep,
-    availability_profile,
-    easy_repair_plan,
-    enumerate_repair_groups,
-    is_correctable,
-    locality,
-    max_disjoint_groups,
-    parallel_repair_plan,
-)
-from .storage import Shard, ShardManifest, decode_object, encode_object, repair_shards
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AvailabilityProfile",
-    "BitMatrix",
-    "ConvCode",
-    "ErasurePattern",
-    "LinearCode",
-    "RepairFailure",
-    "RepairGroup",
-    "RepairPlan",
-    "RepairStep",
-    "Shard",
-    "ShardManifest",
-    "availability_profile",
-    "c0_repeat_code",
-    "c1_code",
-    "c1_generator",
-    "c1_repeat_code",
-    "c2_code",
-    "c2_generator",
-    "decode_object",
-    "easy_repair_plan",
-    "encode_object",
-    "enumerate_repair_groups",
-    "is_correctable",
-    "locality",
-    "max_disjoint_groups",
-    "parallel_repair_plan",
-    "parse_code_id",
-    "repair_shards",
-    "simplex_code",
-    "simplex_generator",
-    "simplex_parity_check",
-    "sliding_generator",
-    "tensor_um_code",
-    "um2prime_code",
-    "um_block_code",
-    "um_simplex",
-]

@@ -52,33 +52,9 @@ class LinearCode:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """The generator's columns as ints, made once per code; not a field."""
+        """The generator's columns as ints; not a field.  A code from _make
+        carries the list it was built from, one made by hand transposes once."""
         return self.generator.columns_bits()
-
-
-@dataclass(frozen=True)
-class ConvCode:
-    """A unit-memory convolutional code, stored as its two block taps.
-
-    Encoding rule per time step: c_t = u_t @ g0 + u_{t-1} @ g1.
-    """
-
-    k: int
-    n_block: int
-    g0: BitMatrix
-    g1: BitMatrix
-
-    def __post_init__(self) -> None:
-        if self.g0.rows != self.k or self.g1.rows != self.k:
-            raise InvalidDimension("tap row counts must equal k")
-        if self.g0.cols != self.n_block or self.g1.cols != self.n_block:
-            raise InvalidDimension("tap widths must equal n_block")
-        if self.g1.is_zero():
-            raise InvalidDimension("g1 = 0 would make the memory zero")
-
-
-def _matrix_from_columns(cols: list[int], k: int) -> BitMatrix:
-    return BitMatrix(k, len(cols), transpose(cols, k))
 
 
 def _kron_columns(outer: list[int], inner: list[int], k_inner: int) -> list[int]:
@@ -99,26 +75,12 @@ def simplex_columns(k: int) -> list[int]:
             for w in range(1, k + 1) for support in combinations(range(k), w)]
 
 
-def simplex_generator(k: int) -> BitMatrix:
-    """The k x (2^k - 1) generator whose columns are simplex_columns(k)."""
-    return _matrix_from_columns(simplex_columns(k), k)
-
-
 def simplex_parity_rows(k: int) -> Iterator[int]:
-    """The rows of simplex_parity_check(k), made one at a time from the
-    simplex columns: row t is column k + t plus bit k + t."""
+    """The rows of the (n-k) x n parity check [P^T | I_{n-k}] of the simplex
+    code [I_k | P], made one at a time from the simplex columns: row t is
+    column k + t plus bit k + t."""
     for t, pc in enumerate(simplex_columns(k)[k:]):
         yield pc | 1 << (k + t)
-
-
-def simplex_parity_check(k: int) -> BitMatrix:
-    """(n-k) x n parity check for the simplex code, identity on the right.
-
-    The canonical simplex generator is [I_k | P], so H = [P^T | I_{n-k}]
-    and H @ G^T = 0.
-    """
-    n = _simplex_length(k)
-    return BitMatrix(n - k, n, tuple(simplex_parity_rows(k)))
 
 
 def _c1_columns(k: int) -> list[int]:
@@ -126,12 +88,6 @@ def _c1_columns(k: int) -> list[int]:
     if not 2 <= k <= SIMPLEX_MAX_K:
         raise InvalidDimension(f"c1 dimension {k} outside 2..{SIMPLEX_MAX_K}")
     return [1 << i for i in range(k)] + [1 << i | 1 << j for i in range(k) for j in range(i + 1, k)]
-
-
-def c1_generator(k: int) -> BitMatrix:
-    """Generator [I_k | W] with W the weight-2 column matrix; a
-    (k(k+1)/2, k) code."""
-    return _matrix_from_columns(_c1_columns(k), k)
 
 
 def _chain_columns(k: int) -> list[int]:
@@ -144,96 +100,71 @@ def _chain_columns(k: int) -> list[int]:
     return cols
 
 
-def c2_generator(k: int) -> BitMatrix:
-    """Generator (e1, e1, e1+e2, e2, e2+e3, ..., e_k, e_k); a (2k+1, k) code."""
-    if k < 2:
-        raise InvalidDimension("c2 needs k >= 2")
-    return _matrix_from_columns(_chain_columns(k), k)
-
-
-def um_simplex(base_k: int) -> ConvCode:
-    """Unit-memory code with taps g0 = [G G], g1 = [G 0] over a simplex G."""
-    if not 1 <= base_k <= UM_MAX_BASE_K:
-        raise InvalidDimension(f"um base dimension {base_k} outside 1..{UM_MAX_BASE_K}")
-    g = simplex_columns(base_k)
-    return ConvCode(base_k, 2 * len(g), _matrix_from_columns(g * 2, base_k),
-                    _matrix_from_columns(g + [0] * len(g), base_k))
-
-
-def sliding_generator(c: ConvCode, s: int) -> BitMatrix:
-    """Banded (s+1)k x (s+2)n_block matrix unrolling s+1 message blocks.
-
-    Block row t carries g0 at column block t and g1 at column block t+1,
-    so u_total @ result reproduces c_t = u_t @ g0 + u_{t-1} @ g1.
-    """
-    if s < 0:
-        raise InvalidDimension("horizon must be nonnegative")
-    nb = c.n_block
-    cols = (s + 2) * nb
-    rows = []
-    for t in range(s + 1):
-        for r in range(c.k):
-            rows.append((c.g0.row_bits[r] << (t * nb)) | (c.g1.row_bits[r] << ((t + 1) * nb)))
-    return BitMatrix((s + 1) * c.k, cols, tuple(rows))
-
-
-def _make(code_id: str, family: str, generator: BitMatrix, **params) -> LinearCode:
-    if rank(generator) != generator.rows:
+def _make(code_id: str, family: str, cols: list[int], k: int, **params) -> LinearCode:
+    """The code whose generator has these columns; it carries them as its cols."""
+    generator = BitMatrix(k, len(cols), transpose(cols, k))
+    if rank(generator) != k:
         raise InvalidDimension(f"{code_id}: generator is not full row rank")
-    return LinearCode(
-        code_id=code_id,
-        family=family,
-        k=generator.rows,
-        n=generator.cols,
-        generator=generator,
-        **params,
-    )
+    code = LinearCode(code_id, family, k, len(cols), generator, **params)
+    code.__dict__["cols"] = tuple(cols)
+    return code
 
 
 def simplex_code(k: int) -> LinearCode:
-    return _make(f"simplex:{k}", "simplex", simplex_generator(k))
+    return _make(f"simplex:{k}", "simplex", simplex_columns(k), k)
 
 
 def c1_code(k: int) -> LinearCode:
-    return _make(f"c1:{k}", "c1", c1_generator(k))
+    """Columns [I_k | W], W every weight-2 column; a (k(k+1)/2, k) code."""
+    return _make(f"c1:{k}", "c1", _c1_columns(k), k)
 
 
 def c2_code(k: int) -> LinearCode:
-    return _make(f"c2:{k}", "c2", c2_generator(k))
+    """Columns (e1, e1, e1+e2, e2, e2+e3, ..., e_k, e_k); a (2k+1, k) code."""
+    if k < 2:
+        raise InvalidDimension("c2 needs k >= 2")
+    return _make(f"c2:{k}", "c2", _chain_columns(k), k)
 
 
 def um_block_code(base_k: int, s: int) -> LinearCode:
-    """The block code of a UM simplex code unrolled over horizon s."""
-    conv = um_simplex(base_k)
-    gen = sliding_generator(conv, s)
-    return _make(f"um:{base_k}:{s}", "um", gen, s=s, base_k=base_k)
+    """The unit-memory code with taps g0 = [G G], g1 = [G 0] over the simplex
+    G, unrolled over s + 1 message blocks: block row t holds g0 at column
+    block t and g1 at block t + 1, so c_t = u_t @ g0 + u_{t-1} @ g1.  Cut
+    into half blocks that is the chain pattern of s + 1 rows plus a zero
+    column, tensored with G."""
+    if not 1 <= base_k <= UM_MAX_BASE_K:
+        raise InvalidDimension(f"um base dimension {base_k} outside 1..{UM_MAX_BASE_K}")
+    if s < 0:
+        raise InvalidDimension("horizon must be nonnegative")
+    cols = _kron_columns(_chain_columns(s + 1) + [0], simplex_columns(base_k), base_k)
+    return _make(f"um:{base_k}:{s}", "um", cols, (s + 1) * base_k, s=s, base_k=base_k)
 
 
 def c0_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional simplex code."""
     base = _repeat_base(k, x)
     cols = _kron_columns([1 << i for i in range(x)], simplex_columns(base), base)
-    return _make(f"c0:{k}:{x}", "c0x", _matrix_from_columns(cols, k), x=x, base_k=base)
+    return _make(f"c0:{k}:{x}", "c0x", cols, k, x=x, base_k=base)
 
 
 def c1_repeat_code(k: int, x: int) -> LinearCode:
     """x block-diagonal copies of the (k/x)-dimensional weight-2 code."""
     base = _repeat_base(k, x)
     cols = _kron_columns([1 << i for i in range(x)], _c1_columns(base), base)
-    return _make(f"c1:{k}:{x}", "c1x", _matrix_from_columns(cols, k), x=x, base_k=base)
+    return _make(f"c1:{k}:{x}", "c1x", cols, k, x=x, base_k=base)
 
 
 def tensor_um_code(k: int, x: int) -> LinearCode:
     """The (2x+1)(2^(k/x)-1)-length tensor of the chain pattern with a simplex."""
     base = _repeat_base(k, x)
     cols = _kron_columns(_chain_columns(x), simplex_columns(base), base)
-    return _make(f"umx:{k}:{x}", "umx", _matrix_from_columns(cols, k), x=x, base_k=base)
+    return _make(f"umx:{k}:{x}", "umx", cols, k, x=x, base_k=base)
 
 
 def um2prime_code() -> LinearCode:
     """The 4x9 generator (G G 0; 0 G G) over the 2-dimensional simplex G."""
     cols = _kron_columns([0b01, 0b11, 0b10], simplex_columns(2), 2)
-    return _make("um2p4", "um2p4", _matrix_from_columns(cols, 4), x=2, base_k=2)
+    return _make("um2p4", "um2p4", cols, 4, x=2, base_k=2)
 
 
 def _repeat_base(k: int, x: int) -> int:

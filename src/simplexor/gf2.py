@@ -78,9 +78,6 @@ class BitMatrix:
         """All columns packed as ints (bit i = entry in row i), in index order."""
         return transpose(self.row_bits, self.cols)
 
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
-
 
 def transpose(vectors: Sequence[int], width: int) -> tuple[int, ...]:
     """The ``width`` ints whose bit i is bit j of ``vectors[i]``, for vectors

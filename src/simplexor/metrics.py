@@ -16,7 +16,6 @@ from itertools import combinations, islice
 from math import comb
 
 from .codes import (
-    ConvCode,
     InvalidDimension,
     LinearCode,
     c0_repeat_code,
@@ -24,7 +23,6 @@ from .codes import (
     c1_repeat_code,
     simplex_code,
     simplex_columns,
-    sliding_generator,
     tensor_um_code,
     um2prime_code,
     um_block_code,
@@ -69,17 +67,17 @@ def min_distance(code: LinearCode) -> int:
     return min_weight_nonzero_rowspan(code.generator, guard=MAX_MESSAGE_DIM)
 
 
-def column_distance(c: ConvCode, j: int) -> int:
-    """Minimum weight of the first j+1 output blocks over messages with a
-    nonzero leading block."""
-    if c.k * (j + 1) > 20:
-        raise TooLarge(f"window of {c.k * (j + 1)} message bits exceeds guard 20")
-    window = (j + 1) * c.n_block
-    mask = (1 << window) - 1
-    rows = [rb & mask for rb in sliding_generator(c, j).row_bits]
-    head, tail = rows[: c.k], rows[c.k :]
+def column_distance(base_k: int, j: int) -> int:
+    """Minimum weight of the first j+1 output blocks of the UM code over
+    simplex:base_k, over messages with a nonzero leading block."""
+    if base_k * (j + 1) > 20:
+        raise TooLarge(f"window of {base_k * (j + 1)} message bits exceeds guard 20")
+    code = um_block_code(base_k, j)
+    window = code.n // (j + 2) * (j + 1)
+    rows = [rb & (1 << window) - 1 for rb in code.generator.row_bits]
+    head, tail = rows[:base_k], rows[base_k:]
     best = window + 1
-    for u0 in range(1, 1 << c.k):
+    for u0 in range(1, 1 << base_k):
         acc = 0
         u = u0
         i = 0
@@ -99,11 +97,12 @@ def column_distance(c: ConvCode, j: int) -> int:
     return best
 
 
-def sliding_block_distance(c: ConvCode, s: int) -> int:
-    """Exact minimum distance of the unrolled block code with horizon s."""
-    if (s + 1) * c.k > 20:
-        raise TooLarge(f"{(s + 1) * c.k} message bits exceeds guard 20")
-    return min_weight_nonzero_rowspan(sliding_generator(c, s), guard=MAX_MESSAGE_DIM)
+def sliding_block_distance(base_k: int, s: int) -> int:
+    """Exact minimum distance of the UM code over simplex:base_k unrolled
+    with horizon s."""
+    if (s + 1) * base_k > 20:
+        raise TooLarge(f"{(s + 1) * base_k} message bits exceeds guard 20")
+    return min_weight_nonzero_rowspan(um_block_code(base_k, s).generator, guard=MAX_MESSAGE_DIM)
 
 
 # ---------------------------------------------------------------------------

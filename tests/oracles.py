@@ -12,7 +12,7 @@ import zlib
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from simplexor.codes import LinearCode
+from simplexor.codes import LinearCode, simplex_columns, simplex_parity_rows
 from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows, transpose
 from simplexor.storage import NotCorrectable, Shard, ShardManifest
 
@@ -42,6 +42,34 @@ def weight2_matrix(k: int) -> BitMatrix:
     support {i, j}, i < j, in lex order: the pairs holding row 0 first."""
     cols = [1 << i | 1 << j for i, j in combinations(range(k), 2)]
     return BitMatrix(k, len(cols), transpose(cols, k))
+
+
+def simplex_parity_check(k: int) -> BitMatrix:
+    """(n-k) x n parity check for the simplex code, identity on the right.
+
+    The canonical simplex generator is [I_k | P], so H = [P^T | I_{n-k}]
+    and H @ G^T = 0.
+    """
+    n = (1 << k) - 1
+    return BitMatrix(n - k, n, tuple(simplex_parity_rows(k)))
+
+
+def um_taps(base_k: int) -> tuple[list[int], list[int]]:
+    """The paper's unit-memory taps over the simplex G of dimension base_k,
+    as column lists: g0 = [G G] and g1 = [G 0]."""
+    g = simplex_columns(base_k)
+    return g * 2, g + [0] * len(g)
+
+
+def um_staircase(base_k: int, s: int) -> BitMatrix:
+    """The taps unrolled over s+1 message blocks, row by row: block row t
+    holds g0 at column block t and g1 at block t+1, so u @ the result gives
+    c_t = u_t @ g0 + u_{t-1} @ g1."""
+    g0, g1 = um_taps(base_k)
+    nb = len(g0)
+    r0, r1 = transpose(g0, base_k), transpose(g1, base_k)
+    rows = tuple(r0[r] << t * nb | r1[r] << (t + 1) * nb for t in range(s + 1) for r in range(base_k))
+    return BitMatrix((s + 1) * base_k, (s + 2) * nb, rows)
 
 
 def kron_by_bits(outer: BitMatrix, inner: BitMatrix) -> BitMatrix:

@@ -8,25 +8,27 @@ from simplexor.codes import (
     InvalidCodeId,
     InvalidDimension,
     _kron_columns,
-    _matrix_from_columns,
     c0_repeat_code,
     c1_code,
-    c1_generator,
     c1_repeat_code,
     c2_code,
-    c2_generator,
     code_shape,
     parse_code_id,
     simplex_code,
-    simplex_generator,
-    simplex_parity_check,
-    sliding_generator,
     tensor_um_code,
     um2prime_code,
     um_block_code,
-    um_simplex,
 )
-from oracles import codeword, kron_by_bits, select_columns, transpose_by_bits, weight2_matrix
+from oracles import (
+    codeword,
+    kron_by_bits,
+    select_columns,
+    simplex_parity_check,
+    transpose_by_bits,
+    um_staircase,
+    um_taps,
+    weight2_matrix,
+)
 from simplexor.gf2 import BitMatrix, rank
 
 SIMPLEX3_G = BitMatrix.from_rows(
@@ -47,7 +49,7 @@ SIMPLEX3_H = BitMatrix.from_rows(
 
 
 def test_simplex3_generator_is_bit_exact():
-    assert simplex_generator(3) == SIMPLEX3_G
+    assert simplex_code(3).generator == SIMPLEX3_G
 
 
 def test_simplex3_parity_check_is_bit_exact():
@@ -55,14 +57,14 @@ def test_simplex3_parity_check_is_bit_exact():
 
 
 def test_simplex_small_dimensions():
-    assert simplex_generator(1) == BitMatrix.from_rows([[1]])
-    assert simplex_generator(2) == BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert simplex_code(1).generator == BitMatrix.from_rows([[1]])
+    assert simplex_code(2).generator == BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert simplex_parity_check(1) == BitMatrix(0, 1, ())
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_parity_check_annihilates_generator(k):
-    g = simplex_generator(k)
+    g = simplex_code(k).generator
     h = simplex_parity_check(k)
     # every parity check is orthogonal to every generator row
     assert all((hr & gr).bit_count() % 2 == 0 for hr in h.row_bits for gr in g.row_bits)
@@ -81,7 +83,7 @@ def _column_value(col_bits: int, k: int) -> int:
 def test_simplex_columns_follow_the_documented_order(k):
     # weight ascending, then value with row 0 most significant descending
     order = sorted(range(1, 1 << k), key=lambda c: (c.bit_count(), -_column_value(c, k)))
-    assert simplex_generator(k).columns_bits() == tuple(order)
+    assert simplex_code(k).generator.columns_bits() == tuple(order)
 
 
 # sha256 over the reprs of the generator rows of these ids, then of the rows
@@ -116,8 +118,7 @@ def test_code_cols_are_the_generator_columns_made_once():
 
 @pytest.mark.parametrize("k", range(2, 6))
 def test_simplex_column_closure(k):
-    g = simplex_generator(k)
-    cols = set(g.columns_bits())
+    cols = set(simplex_code(k).generator.columns_bits())
     for a in cols:
         for b in cols:
             if a != b:
@@ -125,14 +126,14 @@ def test_simplex_column_closure(k):
 
 
 def test_c1_of_dimension_two_is_the_two_dimensional_simplex():
-    assert c1_generator(2) == simplex_generator(2)
+    assert c1_code(2).generator == simplex_code(2).generator
 
 
 def test_c1_shapes():
-    g = c1_generator(4)
+    g = c1_code(4).generator
     assert (g.rows, g.cols) == (4, 10)
     for k in range(2, 11):
-        assert c1_generator(k).cols == k + k * (k - 1) // 2
+        assert c1_code(k).generator.cols == k + k * (k - 1) // 2
 
 
 @pytest.mark.parametrize("k", range(3, 7))
@@ -140,48 +141,55 @@ def test_weight2_matrix_recursion(k):
     # c1's columns after its k unit columns, as the oracle's: first the pairs
     # containing row 0, row 0 plus each unit vector below; then those of
     # c1 one dimension smaller, one row down
-    inner = c1_generator(k - 1).columns_bits()[k - 1:]
+    inner = c1_code(k - 1).generator.columns_bits()[k - 1:]
     expected = tuple(1 | 1 << j for j in range(1, k)) + tuple(c << 1 for c in inner)
-    assert c1_generator(k).columns_bits()[k:] == expected
+    assert c1_code(k).generator.columns_bits()[k:] == expected
     assert weight2_matrix(k).columns_bits() == expected
 
 
 def test_c2_of_dimension_two():
     expected = BitMatrix.from_rows([[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]])
-    assert c2_generator(2) == expected
+    assert c2_code(2).generator == expected
 
 
 def test_c2_shapes_and_column_weights():
-    g = c2_generator(4)
+    g = c2_code(4).generator
     assert (g.rows, g.cols) == (4, 9)
     weights = [col.bit_count() for col in g.columns_bits()]
     assert weights == [1, 1, 2, 1, 2, 1, 2, 1, 1]
     with pytest.raises(InvalidDimension):
-        c2_generator(1)
+        c2_code(1)
 
 
 def test_um_simplex_taps():
-    conv = um_simplex(2)
-    g = simplex_generator(2)
-    assert conv.n_block == 6
-    assert conv.g0.columns_bits() == g.columns_bits() * 2
-    assert conv.g1.columns_bits() == g.columns_bits() + (0,) * 3
-    assert um_simplex(3).n_block == 14
-    assert select_columns(conv.g1, range(3)) == g
+    g0, g1 = um_taps(2)
+    g = simplex_code(2).generator.columns_bits()
+    assert len(g0) == len(g1) == 6
+    assert tuple(g0) == g * 2
+    assert tuple(g1) == g + (0,) * 3
+    assert len(um_taps(3)[0]) == 14
+    # horizon 0: one message block, the tap pair side by side
+    assert um_block_code(2, 0).cols == tuple(g0 + g1)
+    assert um_block_code(3, 0).n == 2 * 14
+
+
+@pytest.mark.parametrize("s", range(7))
+@pytest.mark.parametrize("base_k", range(1, 5))
+def test_um_block_code_is_the_staircase_of_its_taps(base_k, s):
+    assert um_block_code(base_k, s).generator == um_staircase(base_k, s)
 
 
 def test_sliding_generator_horizon_zero_is_the_tap_pair():
-    conv = um_simplex(2)
-    total = sliding_generator(conv, 0)
-    assert total.rows == conv.k
-    assert total.columns_bits() == conv.g0.columns_bits() + conv.g1.columns_bits()
+    g0, g1 = um_taps(2)
+    total = um_block_code(2, 0).generator
+    assert total.rows == 2
+    assert total.columns_bits() == tuple(g0 + g1)
 
 
 def test_sliding_generator_staircase():
-    conv = um_simplex(2)
-    total = sliding_generator(conv, 1)
+    total = um_block_code(2, 1).generator
     assert (total.rows, total.cols) == (4, 18)
-    g = simplex_generator(2).columns_bits()
+    g = simplex_code(2).generator.columns_bits()
     # column blocks (G;0) (G;0) (G;G) (0;G) (0;G) (0;0)
     expected = g * 2 + tuple(c | c << 2 for c in g) + tuple(c << 2 for c in g) * 2 + (0,) * 3
     assert total.columns_bits() == expected
@@ -189,19 +197,20 @@ def test_sliding_generator_staircase():
 
 
 def test_sliding_generator_matches_per_time_convolution():
-    conv = um_simplex(3)
-    s = 3
-    total = sliding_generator(conv, s)
+    base_k, s = 3, 3
+    g0, g1 = (BitMatrix(base_k, len(t), transpose_by_bits(t, base_k)) for t in um_taps(base_k))
+    n_block = g0.cols
+    total = um_block_code(base_k, s).generator
     rng = random.Random(99)
     for _ in range(10):
-        blocks = [rng.getrandbits(conv.k) for _ in range(s + 1)]
-        u_total = sum(blk << (t * conv.k) for t, blk in enumerate(blocks))
+        blocks = [rng.getrandbits(base_k) for _ in range(s + 1)]
+        u_total = sum(blk << (t * base_k) for t, blk in enumerate(blocks))
         c_total = codeword(total, u_total)
         for t in range(s + 2):
             u_now = blocks[t] if t <= s else 0
             u_prev = blocks[t - 1] if 0 <= t - 1 <= s else 0
-            expect = codeword(conv.g0, u_now) ^ codeword(conv.g1, u_prev)
-            got = (c_total >> (t * conv.n_block)) & ((1 << conv.n_block) - 1)
+            expect = codeword(g0, u_now) ^ codeword(g1, u_prev)
+            got = (c_total >> (t * n_block)) & ((1 << n_block) - 1)
             assert got == expect
 
 
@@ -218,19 +227,19 @@ def column_matrices(draw):
 @example(BitMatrix(2, 3, (0b011, 0b110)), BitMatrix(2, 2, (0b01, 0b00)))
 def test_kron_columns_match_the_bit_by_bit_product(outer, inner):
     cols = _kron_columns(list(outer.columns_bits()), list(inner.columns_bits()), inner.rows)
-    assert _matrix_from_columns(cols, outer.rows * inner.rows) == kron_by_bits(outer, inner)
+    assert tuple(cols) == kron_by_bits(outer, inner).columns_bits()
 
 
 @pytest.mark.parametrize("x,base", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
 def test_tensor_chain_equals_sliding_matrix_without_zero_block(x, base):
-    total = sliding_generator(um_simplex(base), x - 1)
+    total = um_block_code(base, x - 1).generator
     half = (1 << base) - 1
     trimmed = select_columns(total, range(total.cols - half))
     assert tensor_um_code(x * base, x).generator == trimmed
 
 
 def test_block_diag_repeat_basics():
-    assert c0_repeat_code(3, 1).generator == simplex_generator(3)
+    assert c0_repeat_code(3, 1).generator == simplex_code(3).generator
     rep = c0_repeat_code(6, 2).generator
     assert (rep.rows, rep.cols) == (6, 14)
     assert rank(rep) == 6
@@ -308,7 +317,7 @@ def test_um_block_code_dimensions():
 
 def test_tensor_um_is_chain_for_full_divisor():
     # with x = k the inner simplex is trivial and the chain itself remains
-    assert tensor_um_code(4, 4).generator == c2_generator(4)
+    assert tensor_um_code(4, 4).generator == c2_code(4).generator
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import codeword, nullspace, select_columns, solve_right, transpose_by_bits, weight2_matrix
-from simplexor.codes import simplex_generator
+from simplexor.codes import simplex_code
 from simplexor.gf2 import (
     BitMatrix,
     DimensionMismatch,
@@ -44,7 +44,7 @@ def test_bitmatrix_rejects_ragged_and_wide_rows():
 
 
 def test_matrix_text_roundtrip_golden():
-    assert _text(simplex_generator(3)) == SIMPLEX3_TEXT
+    assert _text(simplex_code(3).generator) == SIMPLEX3_TEXT
 
 
 @given(bit_matrices())
@@ -106,7 +106,7 @@ def test_stacking():
 
 
 def test_rank_simplex3():
-    assert rank(simplex_generator(3)) == 3
+    assert rank(simplex_code(3).generator) == 3
 
 
 def test_rank_zero_matrix():
@@ -137,7 +137,7 @@ def test_right_invertible_identity_and_zero_row():
 
 
 def test_right_invertible_live_subgenerator():
-    g = select_columns(simplex_generator(3), [2, 4, 6])
+    g = select_columns(simplex_code(3).generator, [2, 4, 6])
     assert rank(g) == g.rows
 
 
@@ -151,7 +151,7 @@ def test_solve_right_identity():
 
 
 def test_solve_right_recovers_message_from_live_columns():
-    g = simplex_generator(3)
+    g = simplex_code(3).generator
     rng = random.Random(7)
     live = [2, 4, 6]
     sub = select_columns(g, live)
@@ -178,7 +178,7 @@ def test_solve_right_solutions_reproduce_target(m, ubits):
 
 
 def test_min_weight_simplex3():
-    assert min_weight_nonzero_rowspan(simplex_generator(3)) == 4
+    assert min_weight_nonzero_rowspan(simplex_code(3).generator) == 4
 
 
 def test_min_weight_single_row_all_ones():

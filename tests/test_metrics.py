@@ -23,7 +23,6 @@ from simplexor.codes import (
     simplex_code,
     um2prime_code,
     um_block_code,
-    um_simplex,
 )
 from simplexor.gf2 import BitMatrix, TooLarge
 from simplexor.metrics import (
@@ -96,35 +95,33 @@ def test_singleton_style_bound(code):
 
 @pytest.mark.parametrize("base_k", [2, 3])
 def test_column_distances(base_k):
-    conv = um_simplex(base_k)
-    assert column_distance(conv, 0) == 1 << base_k
+    assert column_distance(base_k, 0) == 1 << base_k
     expected = 3 << (base_k - 1)
     for j in (1, 2, 3):
         if base_k * (j + 1) <= 20:
-            assert column_distance(conv, j) == expected
+            assert column_distance(base_k, j) == expected
 
 
 def test_column_distance_guard():
     with pytest.raises(TooLarge):
-        column_distance(um_simplex(3), 8)
+        column_distance(3, 8)
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_sliding_block_distance_base2(s):
-    assert sliding_block_distance(um_simplex(2), s) == 6
+    assert sliding_block_distance(2, s) == 6
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_sliding_block_distance_base3(s):
-    assert sliding_block_distance(um_simplex(3), s) == 12
+    assert sliding_block_distance(3, s) == 12
 
 
 def test_column_distances_are_nondecreasing():
-    conv = um_simplex(2)
-    ds = [column_distance(conv, j) for j in range(4)]
+    ds = [column_distance(2, j) for j in range(4)]
     assert ds == sorted(ds)
     assert ds[1] == ds[2] == ds[3] == 6
-    assert min(sliding_block_distance(conv, s) for s in range(1, 5)) == 6
+    assert min(sliding_block_distance(2, s) for s in range(1, 5)) == 6
 
 
 @pytest.mark.parametrize("k", range(2, 6))

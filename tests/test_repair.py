@@ -5,13 +5,12 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import codeword, easy_steps_by_value, is_correctable_via_parity
+from oracles import codeword, easy_steps_by_value, is_correctable_via_parity, simplex_parity_check
 from simplexor.codes import (
     LinearCode,
     c1_code,
     c2_code,
     simplex_code,
-    simplex_parity_check,
     um_block_code,
 )
 from simplexor.gf2 import BitMatrix, DimensionMismatch

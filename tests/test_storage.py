@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import decode_by_solving, encode_by_columns, select_columns, solve_right, xor_bytes
+from oracles import decode_by_solving, encode_by_columns, select_columns, solve_right, um_taps, xor_bytes
 from simplexor import storage
-from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code, um_simplex
+from simplexor.codes import LinearCode, parse_code_id, simplex_code, um_block_code
 from simplexor.gf2 import BitMatrix
 from simplexor.repair import (
     RepairFailure,
@@ -323,7 +323,7 @@ def test_um_horizon_zero_matches_tap_pair_block():
 
 
 def test_um_shard_count_and_convolution_identity():
-    conv = um_simplex(2)
+    g0, g1 = um_taps(2)
     rng = random.Random(17)
     payload = bytes(rng.randrange(256) for _ in range(64))
     manifest, shards = encode_object(um_block_code(2, 1), payload)
@@ -336,10 +336,9 @@ def test_um_shard_count_and_convolution_identity():
 
     def block_encode(tap, u):
         out = []
-        for j in range(tap.cols):
+        for col in tap:
             acc = 0
-            col = tap.columns_bits()[j]
-            for i in range(tap.rows):
+            for i in range(2):
                 if (col >> i) & 1:
                     acc ^= int.from_bytes(u[i], "little")
             out.append(acc)
@@ -350,8 +349,8 @@ def test_um_shard_count_and_convolution_identity():
     for t in range(3):
         u_now = blocks[t] if t < 2 else zero
         u_prev = blocks[t - 1] if 1 <= t <= 2 else zero
-        now = block_encode(conv.g0, u_now)
-        prev = block_encode(conv.g1, u_prev)
+        now = block_encode(g0, u_now)
+        prev = block_encode(g1, u_prev)
         for j in range(6):
             expect = (now[j] ^ prev[j]).to_bytes(frag_len, "little")
             assert shards[t * 6 + j].data == expect
