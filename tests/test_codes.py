@@ -168,8 +168,6 @@ def test_um_simplex_taps():
     assert tuple(g0) == g * 2
     assert tuple(g1) == g + (0,) * 3
     assert len(um_taps(3)[0]) == 14
-    # horizon 0: one message block, the tap pair side by side
-    assert um_block_code(2, 0).cols == tuple(g0 + g1)
     assert um_block_code(3, 0).n == 2 * 14
 
 
