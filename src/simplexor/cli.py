@@ -2,8 +2,9 @@
 
 One verb per capability: gen, encode, decode, repair, plan, availability,
 distance, verify, simulate, table.  Exit status 0 on success or a true
-verdict, 1 on a failed verification or an uncorrectable pattern, 2 on
-usage errors.  Randomized commands require an explicit --seed.
+verdict, 1 on a failed verification, an uncorrectable pattern, a storage
+error or running out of memory, 2 on usage errors.  Randomized commands
+require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         return _usage(str(exc))
     except (storage.StorageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice
 from math import comb
+from operator import or_
 
 from .codes import (
     InvalidDimension,
@@ -148,21 +149,10 @@ def _merge_counts(parts, least: bool = False):
     return examined, correctable, repaired, None if ce is None else mask_indices(ce)
 
 
-# Pattern sources of the parallel checks and the simulation: each yields
-# (erasure bitmask, ascending erased indices) for one chunk.
-
-
-def _subsets(n, e, lo, hi):
-    """The e-subsets of range(n) with lex rank in [lo, hi), in lex order."""
-    bits = [1 << j for j in range(n)]
-    for erased in islice(combinations(range(n), e), lo, hi):
-        mask = 0
-        for j in erased:
-            mask |= bits[j]
-        yield mask, erased
-
-
 def _sampled_subsets(n, e, seed, lo, hi):
+    """(erasure bitmask, ascending erased indices) of the e-subset drawn for
+    each trial index in [lo, hi): the patterns of the sampled parallel
+    check and of the simulation."""
     rng = random.Random()  # seeding resets the whole state: one generator serves every trial
     for i in range(lo, hi):
         rng.seed(trial_seed(seed, i))
@@ -264,9 +254,74 @@ def _sampled_chunk(cols, k, pairs, seed, lo, hi):
     return _tally((mask, _easy_verdict(cols, k, pairs, mask)) for mask in masks)
 
 
-def _parallel_chunk(table, source, *args):
-    """Parallel repair with table of every pattern of source(*args)."""
-    return _tally((mask, _parallel_ok(table, mask, erased)) for mask, erased in source(*args))
+def _sampled_parallel_chunk(table, n, e, seed, lo, hi):
+    """Parallel repair with table of the pattern drawn for each trial index
+    in [lo, hi)."""
+    return _tally((mask, _parallel_ok(table, mask, erased))
+                  for mask, erased in _sampled_subsets(n, e, seed, lo, hi))
+
+
+def _prefix_runs(n, e, lo, hi):
+    """Runs (prefix, start, stop) of the e-subsets of range(n), e >= 1, with
+    lex rank in [lo, hi): the subsets prefix + (i,), i in range(start, stop).
+    Each prefix's subsets are adjacent in lex order, so summing run lengths
+    over the prefixes finds rank lo."""
+    rank = 0
+    for prefix in combinations(range(n - 1), e - 1):
+        first = prefix[-1] + 1 if prefix else 0
+        end = rank + n - first
+        if end > lo:
+            yield prefix, first + max(lo - rank, 0), n - max(end - hi, 0)
+        if end >= hi:
+            return
+        rank = end
+
+
+def _prefix_chunk(table, n, e, lo, hi):
+    """Parallel repair with table of the e-subsets of lex rank in [lo, hi),
+    one run P + {i} at a time, tallied as the per-pattern check does.
+    Node t of P fails exactly when i is in need_t, the AND of t's groups
+    that miss P (every node if none does); child i fails besides when none
+    of its own groups misses P.  A row that opens with e pairwise-disjoint
+    groups (its first-fit packing) is never scanned: the other e - 1
+    erasures hit at most e - 1 of them."""
+    if e == 0:
+        return (1, 1, 1, None, None) if lo < hi else (0, 0, 0, None, None)
+    unsafe = 0
+    for t, row in enumerate(table):
+        head = row[:e]
+        if len(head) < e or sum(g.bit_count() for g in head) != reduce(or_, head).bit_count():
+            unsafe |= 1 << t
+    bits = [1 << j for j in range(n)]
+    examined = repaired = 0
+    first = least = None
+    for prefix, start, stop in _prefix_runs(n, e, lo, hi):
+        pmask = bad = 0
+        for t in prefix:
+            pmask |= bits[t]
+        for t in mask_indices(pmask & unsafe):
+            need = (1 << n) - 1
+            for g in table[t]:
+                if not g & pmask:
+                    need &= g
+                    if not need:
+                        break
+            bad |= need
+        run = (1 << stop) - (1 << start)
+        fails = bad & run
+        for i in mask_indices(run & unsafe & ~bad):
+            for g in table[i]:
+                if not g & pmask:
+                    break
+            else:
+                fails |= bits[i]
+        examined += stop - start
+        repaired += stop - start - fails.bit_count()
+        if fails:
+            mask = pmask | fails & -fails
+            first = first or mask
+            least = min(least or mask, mask)
+    return examined, examined, repaired, first, least
 
 
 def _run_chunks(chunks, workers: int):
@@ -325,7 +380,9 @@ def verify_easy_repair_property(
 def verify_parallel_capacity(
     code: LinearCode, r: int, e: int, mode: Exhaustive | Sampled, workers: int = 1
 ) -> VerifyReport:
-    """Every pattern with exactly e erasures must admit parallel r-repair."""
+    """Every pattern with exactly e erasures must admit parallel r-repair:
+    each erased node keeps an all-live group of at most r helpers.  An
+    exhaustive sweep checks one prefix run at a time (``_prefix_chunk``)."""
     cols = code.cols
     n = code.n
     if not 0 <= e <= n:
@@ -334,11 +391,11 @@ def verify_parallel_capacity(
         raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
     table = parallel_table(cols, r)
     if isinstance(mode, Exhaustive):
-        chunks = [partial(_parallel_chunk, table, _subsets, n, e, lo, hi)
+        chunks = [partial(_prefix_chunk, table, n, e, lo, hi)
                   for lo, hi in _ranges(comb(n, e), workers)]
         checked = f"parallel r={r} e={e} exhaustive"
     else:
-        chunks = [partial(_parallel_chunk, table, _sampled_subsets, n, e, mode.seed, lo, hi)
+        chunks = [partial(_sampled_parallel_chunk, table, n, e, mode.seed, lo, hi)
                   for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
     examined, _, repaired, ce = _merge_counts(_run_chunks(chunks, workers))

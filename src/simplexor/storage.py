@@ -79,6 +79,18 @@ def _crc(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}"
 
 
+_ZEROS = memoryview(bytes(1 << 16))
+
+
+def _zero_crc(length: int) -> int:
+    """zlib.crc32(bytes(length)), chained over one fixed block of zeros."""
+    crc = 0
+    full, rest = divmod(length, len(_ZEROS))
+    for _ in range(full):
+        crc = zlib.crc32(_ZEROS, crc)
+    return zlib.crc32(_ZEROS[:rest], crc)
+
+
 _MANIFEST_TYPES = {
     "format_version": int,
     "code": str,
@@ -184,10 +196,10 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
     """Split the payload into zero-padded fragments, one per generator row,
     and emit one shard per node: the XOR of the fragments in its column.
 
-    Only the fragments and one zero string are hashed.  CRC-32 is affine
-    over GF(2): for equal lengths crc(a ^ b) = crc(a) ^ crc(b) ^ crc(zeros),
-    so a shard's CRC is the XOR of its sources' CRCs, and of the zero
-    string's when the sources are even in number (none included)."""
+    Only the fragments and the zeros (``_zero_crc``) are hashed.  CRC-32 is
+    affine over GF(2): for equal lengths crc(a ^ b) = crc(a) ^ crc(b) ^
+    crc(zeros), so a shard's CRC is the XOR of its sources' CRCs, and of the
+    zeros' when the sources are even in number (none included)."""
     if not payload:
         raise EmptyPayload("payload must be nonempty")
     n, count = code.generator.cols, code.generator.rows
@@ -198,7 +210,7 @@ def encode_object(code: LinearCode, payload: bytes) -> tuple[ShardManifest, list
         for i in range(count)
     }
     crcs = {key: zlib.crc32(data) for key, data in pool.items()}
-    zero_crc = zlib.crc32(bytes(frag_len))
+    zero_crc = _zero_crc(frag_len)
     steps = _encode_steps(code.generator)
     for target, sources in steps:
         crc = 0 if len(sources) % 2 else zero_crc

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode, simplex_columns, simplex_parity_rows
@@ -225,3 +225,28 @@ def easy_steps_by_value(
             progress = True
             break
     return tuple(steps), tuple(remaining)
+
+
+def subsets(n: int, e: int, lo: int, hi: int):
+    """The e-subsets of range(n) with lex rank in [lo, hi), in lex order,
+    each as (bitmask, ascending indices)."""
+    for erased in islice(combinations(range(n), e), lo, hi):
+        yield sum(1 << j for j in erased), erased
+
+
+def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int, lo: int, hi: int):
+    """The per-pattern parallel check of the e-subsets of lex rank in
+    [lo, hi): each erased node needs a group in its table row that misses
+    every erasure.  Returns (examined, examined, repaired, the lex-first
+    failing mask, the least failing mask), as the library's chunks do."""
+    examined = repaired = 0
+    first = least = None
+    for mask, erased in subsets(n, e, lo, hi):
+        examined += 1
+        if all(any(not g & mask for g in table[t]) for t in erased):
+            repaired += 1
+        elif first is None:
+            first = least = mask
+        else:
+            least = min(least, mask)
+    return examined, examined, repaired, first, least

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from simplexor import cli
 from simplexor.cli import main
 
 SIMPLEX3_GEN_OUTPUT = """\
@@ -394,6 +395,9 @@ PINNED_OUTPUTS = {
         "1ea5f2d01505cb16c2f7f5195b12acb70756b190018b94b312983c8beacc8676",
     "verify --code um:2:3 --r 5 --max-erasures 5 --exhaustive":
         "a9992f0b9cd7f017a737f5ca32d883e1e42d551e5a821e32cf035c8a08c3f6a3",
+    # a failing exhaustive sweep: its lex-first counterexample and stalled plan
+    "verify --code um:2:2 --r 2 --max-erasures 5 --exhaustive":
+        "af1d8e66b8b2cad40d34b75e7c744d62a072181b19503d0f9f259793a1406f7e",
     "table --k 4":
         "b480c2ae6a48e206a98f35878f45c2cba23e172a90d3d3f7cefd9a21bf135548",
     # sampled sweeps and a simulation whose fractions are not all 1
@@ -406,11 +410,26 @@ PINNED_OUTPUTS = {
 }
 
 
+# the pinned commands that report a FAIL verdict and so exit 1
+PINNED_FAILURES = {"verify --code um:2:2 --r 2 --max-erasures 5 --exhaustive"}
+
+
 def test_cli_outputs_are_pinned(capsys):
     for command, digest in PINNED_OUTPUTS.items():
         status, out, _ = run(capsys, *command.split())
-        assert status == 0, command
+        assert status == (1 if command in PINNED_FAILURES else 0), command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "plan", exhausted)
+    status, out, err = run(capsys, "plan", "--code", "simplex:9", "--erased", "0,1", "--r", "3")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_requires_seed():

@@ -9,9 +9,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import parallel_tally_by_pattern, subsets
 
 from simplexor import metrics, repair
 from simplexor.codes import (
@@ -258,7 +260,7 @@ def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
     verify_easy_repair_property(code, Exhaustive(max_erasures=6), workers=2)
     for chunks in (specs[:2], specs[-2:]):
         assert [chunk.args[-3] for chunk in chunks] == [6, 6]
-        parts = [[erased for _, erased in metrics._subsets(code.n, *chunk.args[-3:])]
+        parts = [[erased for _, erased in subsets(code.n, *chunk.args[-3:])]
                  for chunk in chunks]
         assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
         assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
@@ -327,6 +329,33 @@ def small_codes_with_repeats(draw):
 def test_lattice_walk_matches_per_pattern_sweep(code, data):
     cap = data.draw(st.none() | st.integers(0, code.n + 1))
     assert verify_easy_repair_property(code, Exhaustive(cap)) == _reference_easy_sweep(code, cap)
+
+
+def _in_process(chunks, workers):
+    return [chunk() for chunk in chunks]
+
+
+@given(small_codes_with_repeats(), st.data())
+def test_prefix_chunk_matches_per_pattern_check(code, data):
+    """The prefix-run chunk against the per-pattern check, for every r and
+    e, on a drawn cut [lo, hi), which may be empty or split a run at either
+    end; and the reports of 1, 2 and 3 chunks, run in this process, against
+    one built from the per-pattern tally of every pattern."""
+    n = code.n
+    for r in range(1, 5):
+        table = repair.parallel_table(code.cols, r)
+        for e in range(n + 1):
+            total = comb(n, e)
+            lo = data.draw(st.integers(0, total))
+            hi = data.draw(st.integers(lo, total))
+            assert metrics._prefix_chunk(table, n, e, lo, hi) == parallel_tally_by_pattern(table, n, e, lo, hi)
+            examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e, 0, total)
+            reference = metrics.VerifyReport(
+                code.code_id, f"parallel r={r} e={e} exhaustive", first is None, examined,
+                examined, repaired, None if first is None else repair.mask_indices(first))
+            with patch.object(metrics, "_run_chunks", _in_process):
+                for workers in (1, 2, 3):
+                    assert verify_parallel_capacity(code, r, e, Exhaustive(), workers) == reference
 
 
 # Losing node 2 alone fails first in (count, lex) order, but the failing

@@ -66,9 +66,9 @@ class _Counted:
                 counted.made += 1
                 return int(self).to_bytes(length, byteorder)
 
-        def counting_crc32(data):
+        def counting_crc32(data, value=0):
             counted.hashed.append(data)
-            return zlib.crc32(data)
+            return zlib.crc32(data, value)
 
         monkeypatch.setattr(storage, "int", CountingInt, raising=False)
         monkeypatch.setattr(storage, "zlib", SimpleNamespace(crc32=counting_crc32))
@@ -546,7 +546,7 @@ def test_a_code_id_swapped_for_one_of_the_same_shape_is_caught():
                          [("simplex:4", 5, 11, 11), ("um:2:3", 9, 19, 13)])
 def test_encode_hashes_the_fragments_and_builds_columns_from_earlier_ones(
         monkeypatch, code_id, hashed, xors, made):
-    """Encode hashes the fragments and one zero string, not the shards.  Each
+    """Encode hashes the fragments and one run of zeros, not the shards.  Each
     column of weight 2 or more that no earlier column equals is converted
     to bytes once, from an earlier column XOR one fragment where it can:
     simplex:4 has 11 such columns, each one XOR; um:2:3 has 13, of which
@@ -659,6 +659,11 @@ def test_shard_bytes_are_pinned():
         for sh in shards:
             h.update(sh.data)
         assert h.hexdigest() == digest, code_id
+
+
+@pytest.mark.parametrize("length", [1, 4095, 65536, 65537, 3 * 65536 + 5])
+def test_zero_crc_matches_the_crc_of_a_zero_string(length):
+    assert storage._zero_crc(length) == zlib.crc32(bytes(length))
 
 
 def _traced_peak(call):
