@@ -12,9 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, islice
 from math import comb
-from operator import or_
+from operator import and_, or_
 
 from .codes import (
     InvalidDimension,
@@ -28,7 +27,7 @@ from .codes import (
     um2prime_code,
     um_block_code,
 )
-from .gf2 import TooLarge, min_weight_nonzero_rowspan
+from .gf2 import TooLarge, min_weight_nonzero_rowspan, transpose
 from .repair import (
     easy_closure_for_mask,
     easy_steps,
@@ -171,87 +170,132 @@ def _parallel_ok(tables, erased_mask, erased) -> bool:
     return True
 
 
-def _easy_verdict(cols, k, pairs, mask):
-    """None for an uncorrectable pattern, else whether easy repair over the
-    size-<=2 group table pairs recovers it."""
-    if not full_rank_on_live(cols, mask, k):
-        return None
-    return easy_closure_for_mask(pairs, mask)
-
-
-def _walk(cols, k, pairs, e, lo, hi):
-    """(mask, easy verdict) of the e-subsets of lex rank in [lo, hi), in lex
-    order, each inherited from its parent where possible.
-
-    The parent of E + {i}, i above every index of E, is E; the child keeps
-    E's verdict in two cases.  E is uncorrectable: a superset's live
-    columns span less.  Or pairs[i], node i's row of the size-<=2 group
-    table that the closure reads (``easy_table(cols)``), has a group
-    disjoint from E + {i}: that replica or XOR pair is live, so i is in the
-    easy closure of the child's live set L - {i}.  The closure is
-    monotone and idempotent, so closure(L - {i}) = closure(L); and
-    span(L - {i}) = span(L), as it holds column i.  Correctability reads
-    the span and easy repair the closure.  Otherwise the child gets its own
-    rank check and closure.  The prefix masks and verdicts of the current
-    tuple are redone from the first index the next tuple changes, so a
-    chunk that starts mid-order rebuilds at most e of them.
-    """
-    n = len(cols)
-    bits = [1 << j for j in range(n)]
-    tops = range(n - e, n)  # the largest index each position can hold
-    masks = [0] * (e + 1)
-    verdicts = [_easy_verdict(cols, k, pairs, 0)] * (e + 1)
-    d = 0
-    for erased in islice(combinations(range(n), e), lo, hi):
-        for d in range(d, e):
-            i = erased[d]
-            mask = masks[d] | bits[i]
-            masks[d + 1] = mask
-            ok = verdicts[d]
-            if ok is not None:
-                for g in pairs[i]:
-                    if not g & mask:
-                        break
-                else:
-                    ok = _easy_verdict(cols, k, pairs, mask)
-            verdicts[d + 1] = ok
-        yield masks[e], verdicts[e]
-        # the next tuple first differs at the last position below its top
-        d = e - 1
-        while d > 0 and erased[d] == tops[d]:
-            d -= 1
-
-
 def _tally(pairs):
-    """Count (mask, verdict) pairs, verdict None for an uncorrectable
-    pattern.  Returns the counts and the first and the least failing mask."""
-    examined = correctable = repaired = 0
+    """Count (mask, verdict) pairs, every pattern correctable.  Returns the
+    counts and the first and the least failing mask."""
+    examined = repaired = 0
     first = least = None
     for mask, ok in pairs:
         examined += 1
-        if ok is None:
-            continue
-        correctable += 1
         if ok:
             repaired += 1
         elif first is None:
             first = least = mask
         elif mask < least:
             least = mask
-    return examined, correctable, repaired, first, least
+    return examined, examined, repaired, first, least
 
 
-def _walk_chunk(cols, k, pairs, e, lo, hi):
-    """Easy repair of the e-subsets of lex rank in [lo, hi), by the walk."""
-    return _tally(_walk(cols, k, pairs, e, lo, hi))
+def _set_bits(x: int):
+    """The set bits of x, ascending, found by str.find over its binary
+    text: linear in its length, where peeling off the lowest bit again and
+    again costs a pass over a wide int per bit."""
+    text = bin(x)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
+def _unrank(n: int, e: int, rank: int) -> int:
+    """The bitmask of the e-subset of range(n) with the given lex rank.  Of
+    the subsets that choose their r remaining indices from j up, the
+    C(n - j - 1, r - 1) holding j come first."""
+    mask = j = 0
+    for r in range(e, 0, -1):
+        c = comb(n - j - 1, r - 1)
+        while rank >= c:
+            rank -= c
+            j += 1
+            c = comb(n - j - 1, r - 1)
+        mask |= 1 << j
+        j += 1
+    return mask
+
+
+def _subset_lanes(n: int, cap: int) -> list[list[int]]:
+    """For each e <= cap, the node lanes of the e-subsets of range(n): bit p
+    of lanes[e][j] is set when the subset of lex rank p holds node j.
+
+    One pass over the suffixes range(a, n), a from n - 1 down to 0: the
+    e-subsets of a suffix in lex order are those holding its first index
+    a, which are a plus the (e - 1)-subsets of the next suffix, then those
+    without it, the e-subsets of the next suffix."""
+    layers: list[list[int]] = [[] for _ in range(cap + 1)]  # the suffix's nodes
+    widths = [1] + [0] * cap  # how many e-subsets the suffix has
+    for _ in range(n):
+        for e in range(cap, 0, -1):
+            w = widths[e - 1]
+            layers[e] = [(1 << w) - 1] + [x | y << w for x, y in zip(layers[e - 1], layers[e])]
+            widths[e] += w
+        layers[0] = [0] + layers[0]
+    return layers
+
+
+def _lane_pass(cols, k, pairs, lanes, count, mask_of):
+    """Easy repair of count patterns, one lane each: one closure over the
+    node lanes, then the one rank check of each stuck lane p, on its mask
+    mask_of(p).  The columns must reach rank k: then every lane that clears
+    is correctable, as the live columns span each erased one.  Returns the
+    correctable and repaired counts, the first and the least failing mask,
+    and the masks of the uncorrectable lanes."""
+    stuck = easy_closure_for_mask(pairs, lanes)
+    failed = 0
+    first = least = None
+    bad = []
+    for p in _set_bits(stuck):
+        mask = mask_of(p)
+        if not full_rank_on_live(cols, mask, k):
+            bad.append(mask)
+            continue
+        failed += 1
+        if first is None:
+            first = least = mask
+        elif mask < least:
+            least = mask
+    cleared = count - stuck.bit_count()
+    return (cleared + failed, cleared, first, least), bad
+
+
+def _easy_layers(cols, k, pairs, cap):
+    """Easy repair of every pattern of at most cap erasures: per erasure
+    count e, the tally of the e-subsets in lex order, one lane each.
+
+    A generator short of rank k makes no pattern correctable.  Otherwise a
+    lane that clears is correctable, and a subset of a correctable pattern
+    is correctable.  So each stuck lane that fails its rank check and
+    covers none of the patterns found so far is a new minimal uncorrectable
+    pattern, and every lane of a higher layer that covers one is dropped
+    before the closure, uncorrectable without a check."""
+    n = len(cols)
+    if not full_rank_on_live(cols, 0, k):
+        return [(comb(n, e), 0, 0, None, None) for e in range(cap + 1)]
+    minimal: list[tuple[int, ...]] = []
+    out = []
+    for e, lanes in enumerate(_subset_lanes(n, cap)):
+        dead = 0
+        for u in minimal:
+            dead |= reduce(and_, [lanes[j] for j in u])
+        if dead:
+            lanes = [x & ~dead for x in lanes]
+        total = comb(n, e)
+        tally, bad = _lane_pass(cols, k, pairs, lanes, total - dead.bit_count(),
+                                partial(_unrank, n, e))
+        minimal += map(mask_indices, bad)
+        out.append((total, *tally))
+    return out
 
 
 def _sampled_chunk(cols, k, pairs, seed, lo, hi):
-    """Easy repair of the mask drawn for each trial index in [lo, hi)."""
+    """Easy repair of the mask drawn for each trial index in [lo, hi), one
+    lane each."""
     n = len(cols)
     rng = random.Random()
-    masks = (rng.seed(trial_seed(seed, i)) or rng.getrandbits(n) for i in range(lo, hi))
-    return _tally((mask, _easy_verdict(cols, k, pairs, mask)) for mask in masks)
+    masks = [rng.seed(trial_seed(seed, i)) or rng.getrandbits(n) for i in range(lo, hi)]
+    if not full_rank_on_live(cols, 0, k):
+        return len(masks), 0, 0, None, None
+    tally, _ = _lane_pass(cols, k, pairs, transpose(masks, n), len(masks), masks.__getitem__)
+    return (len(masks), *tally)
 
 
 def _sampled_parallel_chunk(table, n, e, seed, lo, hi):
@@ -264,17 +308,28 @@ def _sampled_parallel_chunk(table, n, e, seed, lo, hi):
 def _prefix_runs(n, e, lo, hi):
     """Runs (prefix, start, stop) of the e-subsets of range(n), e >= 1, with
     lex rank in [lo, hi): the subsets prefix + (i,), i in range(start, stop).
-    Each prefix's subsets are adjacent in lex order, so summing run lengths
-    over the prefixes finds rank lo."""
-    rank = 0
-    for prefix in combinations(range(n - 1), e - 1):
-        first = prefix[-1] + 1 if prefix else 0
-        end = rank + n - first
-        if end > lo:
-            yield prefix, first + max(lo - rank, 0), n - max(end - hi, 0)
-        if end >= hi:
+    Each prefix's subsets are adjacent in lex order.  The first run starts
+    at the subset of rank lo, found by unranking; each later prefix is the
+    lex successor of the one before, among the (e - 1)-subsets of
+    range(n - 1)."""
+    if lo >= hi:
+        return
+    *prefix, start = mask_indices(_unrank(n, e, lo))
+    m = e - 1
+    left = hi - lo
+    while True:
+        stop = min(n, start + left)
+        yield tuple(prefix), start, stop
+        left -= stop - start
+        if not left:
             return
-        rank = end
+        i = m - 1
+        while prefix[i] == n - 1 - m + i:  # the largest index position i can hold
+            i -= 1
+        prefix[i] += 1
+        for d in range(i + 1, m):
+            prefix[d] = prefix[d - 1] + 1
+        start = prefix[-1] + 1
 
 
 def _prefix_chunk(table, n, e, lo, hi):
@@ -352,8 +407,11 @@ def verify_easy_repair_property(
     code: LinearCode, mode: Exhaustive | Sampled, workers: int = 1
 ) -> VerifyReport:
     """Sweep erasure patterns; every correctable one must easy-repair.
-    Exhaustive sweeps walk the erasure lattice (``_walk``) and report the
-    first failure in (count, lex) order when capped, else the least mask."""
+    Each pattern is one lane of the lane closure.  An exhaustive sweep
+    checks one layer of e-subsets at a time (``_easy_layers``), in the
+    calling process, as each layer drops the lanes that cover a minimal
+    uncorrectable pattern of the layers below; it reports the first failure
+    in (count, lex) order when capped, else the least mask."""
     cols = code.cols
     n, k = code.n, code.k
     if isinstance(mode, Exhaustive):
@@ -362,18 +420,17 @@ def verify_easy_repair_property(
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"{total} patterns exceeds the sweep guard")
         pairs = easy_table(cols)
-        chunks = [partial(_walk_chunk, cols, k, pairs, e, lo, hi)
-                  for e in range(cap + 1) for lo, hi in _ranges(comb(n, e), workers)]
+        parts = _run_chunks([partial(_easy_layers, cols, k, pairs, cap)], workers)[0]
         checked = "easy-repair exhaustive"
         if mode.max_erasures is not None:
             checked += f" <={mode.max_erasures} erasures"
     else:
         pairs = easy_table(cols)
-        chunks = [partial(_sampled_chunk, cols, k, pairs, mode.seed, lo, hi)
-                  for lo, hi in _ranges(mode.trials, workers * 4)]
+        parts = _run_chunks([partial(_sampled_chunk, cols, k, pairs, mode.seed, lo, hi)
+                             for lo, hi in _ranges(mode.trials, workers * 4)], workers)
         checked = f"easy-repair sampled seed={mode.seed} trials={mode.trials}"
     least = isinstance(mode, Exhaustive) and mode.max_erasures is None
-    examined, correctable, repaired, ce = _merge_counts(_run_chunks(chunks, workers), least)
+    examined, correctable, repaired, ce = _merge_counts(parts, least)
     return VerifyReport(code.code_id, checked, ce is None, examined, correctable, repaired, ce)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
@@ -200,24 +201,42 @@ def easy_repair_plan(code: LinearCode, pattern: ErasurePattern) -> RepairPlan | 
     return RepairPlan(steps, "sequential", r_bound)
 
 
-def easy_closure_for_mask(pairs: Sequence[Iterable[int]], erased_mask: int) -> bool:
-    """Verdict-only easy repair over the size-<=2 group table pairs: an
-    erased node is cleared once one of its groups misses the erased mask,
-    until a pass clears none.  Order-free, as the closure is unique."""
-    pending = mask_indices(erased_mask)
-    while pending:
+def easy_closure_for_mask(pairs: Sequence[Iterable[int]], lanes: Sequence[int]) -> int:
+    """Verdict-only easy repair over the size-<=2 group table pairs, in many
+    erasure patterns at once: bit p of lanes[t] is set when pattern p, lane
+    p, erases node t.  Returns the lanes left stuck, 0 when every lane
+    clears; a single mask is the one-lane case.
+
+    In each lane an erased node is cleared once one of its groups misses
+    the lane's erased set, until a pass clears none: node t stays erased in
+    the lanes where every group of its row has an erased node, the AND over
+    its groups of their erased lanes.  A row is read only while some lane
+    still has its node erased, and only until each such lane is cleared.
+    Order-free, as the closure is unique."""
+    erased = list(lanes)
+    pending = [t for t, x in enumerate(erased) if x]
+    cleared = True
+    while pending and cleared:
+        cleared = False
         still = []
         for t in pending:
+            stuck = erased[t]
             for g in pairs[t]:
-                if not g & erased_mask:
-                    erased_mask ^= 1 << t
+                i = g.bit_length() - 1
+                hit = erased[i]
+                g ^= 1 << i
+                if g:
+                    hit |= erased[g.bit_length() - 1]
+                stuck &= hit
+                if not stuck:
                     break
-            else:
+            if stuck != erased[t]:
+                erased[t] = stuck
+                cleared = True
+            if stuck:
                 still.append(t)
-        if len(still) == len(pending):
-            return False
         pending = still
-    return True
+    return reduce(or_, [erased[t] for t in pending], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,26 @@ def easy_steps_by_value(
     return tuple(steps), tuple(remaining)
 
 
+def easy_closure_scalar(pairs: Sequence[Iterable[int]], erased_mask: int) -> bool:
+    """Easy repair of one erasure mask over the size-<=2 group table pairs:
+    an erased node is cleared once one of its groups misses the erased
+    mask, until a pass clears none.  True when every node clears."""
+    pending = [t for t in range(erased_mask.bit_length()) if erased_mask >> t & 1]
+    while pending:
+        still = []
+        for t in pending:
+            for g in pairs[t]:
+                if not g & erased_mask:
+                    erased_mask ^= 1 << t
+                    break
+            else:
+                still.append(t)
+        if len(still) == len(pending):
+            return False
+        pending = still
+    return True
+
+
 def subsets(n: int, e: int, lo: int, hi: int):
     """The e-subsets of range(n) with lex rank in [lo, hi), in lex order,
     each as (bitmask, ascending indices)."""

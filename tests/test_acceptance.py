@@ -103,6 +103,25 @@ def test_criterion_5_easy_repair_property():
         assert sampled.patterns_examined == 100_000
 
 
+# Families outside EASY_REPAIR_FAMILIES that still easy-repair every
+# correctable pattern: (code id, patterns, correctable), every pattern swept.
+EASY_BEYOND_THE_FAMILIES = [
+    ("um2p4", 512, 328),
+    ("c0:6:2", 16384, 8464),
+    ("c1:6:2", 4096, 1444),
+    ("umx:4:2", 32768, 29808),
+    ("c1:8:2", 1048576, 529984),
+    ("umx:6:3", 2097152, 1811368),
+]
+
+
+def test_easy_repair_beyond_the_guaranteed_families():
+    for code_id, examined, correctable in EASY_BEYOND_THE_FAMILIES:
+        report = metrics.verify_easy_repair_property(parse_code_id(code_id), Exhaustive())
+        assert (report.verdict, report.patterns_examined, report.correctable, report.repaired) == (
+            True, examined, correctable, correctable), code_id
+
+
 def test_criterion_6_parallel_repair():
     with criterion(6, "parallel repair capacities", 600.0):
         for k in (3, 4):

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import parallel_tally_by_pattern, subsets
+from oracles import easy_closure_scalar, parallel_tally_by_pattern, subsets
 
 from simplexor import metrics, repair
 from simplexor.codes import (
@@ -43,7 +43,6 @@ from simplexor.metrics import (
 )
 from simplexor.repair import (
     InvalidBound,
-    easy_closure_for_mask,
     easy_table,
     full_rank_on_live,
     locality,
@@ -257,13 +256,10 @@ def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
 
     monkeypatch.setattr(metrics, "_run_chunks", capture)
     verify_parallel_capacity(code, 2, 6, Exhaustive(), workers=2)
-    verify_easy_repair_property(code, Exhaustive(max_erasures=6), workers=2)
-    for chunks in (specs[:2], specs[-2:]):
-        assert [chunk.args[-3] for chunk in chunks] == [6, 6]
-        parts = [[erased for _, erased in subsets(code.n, *chunk.args[-3:])]
-                 for chunk in chunks]
-        assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
-        assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
+    assert [chunk.args[-3] for chunk in specs] == [6, 6]
+    parts = [[erased for _, erased in subsets(code.n, *chunk.args[-3:])] for chunk in specs]
+    assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
+    assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
 
 
 def test_balanced_chunks_keep_reports_of_one_worker():
@@ -305,7 +301,7 @@ def _reference_easy_sweep(code, cap=None):
         if not full_rank_on_live(cols, mask, code.k):
             continue
         correctable += 1
-        if easy_closure_for_mask(pairs, mask):
+        if easy_closure_scalar(pairs, mask):
             repaired += 1
         elif counterexample is None:
             counterexample = tuple(j for j in range(n) if mask >> j & 1)
@@ -329,6 +325,37 @@ def small_codes_with_repeats(draw):
 def test_lattice_walk_matches_per_pattern_sweep(code, data):
     cap = data.draw(st.none() | st.integers(0, code.n + 1))
     assert verify_easy_repair_property(code, Exhaustive(cap)) == _reference_easy_sweep(code, cap)
+
+
+@pytest.mark.parametrize("row_by_row", [False, True], ids=["whole-table", "row-by-row"])
+@given(small_codes_with_repeats(), st.data())
+def test_lane_closure_matches_the_scalar_closure(row_by_row, code, data):
+    """Each lane of one closure pass, against the scalar closure of its
+    mask, over the whole table and over PairRows rows."""
+    n = code.n
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=64))
+    max_nodes = 0 if row_by_row else repair.EASY_TABLE_MAX_NODES
+    with patch.object(repair, "EASY_TABLE_MAX_NODES", max_nodes):
+        pairs = easy_table(code.cols)
+    assert isinstance(pairs, repair.PairRows) == row_by_row
+    lanes = [sum((m >> t & 1) << p for p, m in enumerate(masks)) for t in range(n)]
+    expected = sum((not easy_closure_scalar(pairs, m)) << p for p, m in enumerate(masks))
+    assert repair.easy_closure_for_mask(pairs, lanes) == expected
+
+
+def test_subset_lanes_and_unranking_follow_lex_order():
+    for n in range(11):
+        layers = metrics._subset_lanes(n, n)
+        for e, lanes in enumerate(layers):
+            subs = list(combinations(range(n), e))
+            assert lanes == [sum((j in sub) << p for p, sub in enumerate(subs)) for j in range(n)]
+            assert [metrics._unrank(n, e, p) for p in range(len(subs))] == [
+                sum(1 << j for j in sub) for sub in subs]
+        for cap in range(n + 1):
+            assert metrics._subset_lanes(n, cap) == layers[: cap + 1]
+    rng = random.Random(5)
+    for x in [0, 1, 1 << 4000, *(rng.getrandbits(rng.choice((8, 300, 5000))) for _ in range(20))]:
+        assert tuple(metrics._set_bits(x)) == repair.mask_indices(x)
 
 
 def _in_process(chunks, workers):
@@ -420,9 +447,8 @@ def _correctable_counts(code):
 )
 def test_walk_counts_match_the_critical_theorem(code):
     cols = code.cols
-    pairs = easy_table(cols)
-    per_e = [metrics._walk_chunk(cols, code.k, pairs, e, 0, comb(code.n, e))[1]
-             for e in range(code.n + 1)]
+    layers = metrics._easy_layers(cols, code.k, easy_table(cols), code.n)
+    per_e = [correctable for _, correctable, *_ in layers]
     assert per_e == _correctable_counts(code)
     assert verify_easy_repair_property(code, Exhaustive()).correctable == sum(per_e)
 
@@ -636,14 +662,17 @@ def test_sampled_chunks_draw_what_a_generator_per_trial_draws(monkeypatch, cuts)
     random.Random(trial_seed(seed, i)) per trial, wherever chunks are cut."""
     seed, n, e = 20260808, 70, 11
     drawn = []
-    monkeypatch.setattr(metrics, "_easy_verdict", lambda cols, k, pairs, mask: drawn.append(mask))
+    lanes_of = metrics.transpose
+    monkeypatch.setattr(metrics, "transpose",
+                        lambda masks, width: drawn.extend(masks) or lanes_of(masks, width))
+    cols = (1,) * n
     for lo, hi in zip(cuts, cuts[1:]):
         fresh = [random.Random(trial_seed(seed, i)) for i in range(lo, hi)]
         erased = [tuple(sorted(rng.sample(range(n), e))) for rng in fresh]
         assert list(metrics._sampled_subsets(n, e, seed, lo, hi)) == [
             (sum(1 << j for j in x), x) for x in erased]
         drawn.clear()
-        metrics._sampled_chunk((1,) * n, 1, None, seed, lo, hi)
+        metrics._sampled_chunk(cols, 1, easy_table(cols), seed, lo, hi)
         assert drawn == [random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi)]
 
 

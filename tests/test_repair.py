@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import codeword, easy_steps_by_value, is_correctable_via_parity, simplex_parity_check
+from oracles import (
+    codeword,
+    easy_closure_scalar,
+    easy_steps_by_value,
+    is_correctable_via_parity,
+    simplex_parity_check,
+)
 from simplexor.codes import (
     LinearCode,
     c1_code,
@@ -24,7 +30,6 @@ from simplexor.repair import (
     RepairFailure,
     RepairPlan,
     availability_profile,
-    easy_closure_for_mask,
     easy_repair_plan,
     easy_steps,
     easy_table,
@@ -194,7 +199,7 @@ def test_easy_closure_verdict_matches_plan(code, bits):
     pattern = _pattern(code, [j for j in range(code.n) if (mask >> j) & 1])
     plan = easy_repair_plan(code, pattern)
     pairs = easy_table(code.cols)
-    assert easy_closure_for_mask(pairs, mask) == isinstance(plan, RepairPlan)
+    assert easy_closure_scalar(pairs, mask) == isinstance(plan, RepairPlan)
 
 
 def test_parallel_plan_within_capability():
@@ -335,7 +340,9 @@ def test_easy_repair_over_the_group_table_matches_the_value_scan(cols, bits):
     expected = easy_steps_by_value(cols, erased)
     for pairs in (table, rows):
         assert easy_steps(pairs, erased) == expected
-        assert easy_closure_for_mask(pairs, erased_mask) == (not expected[1])
+        assert easy_closure_scalar(pairs, erased_mask) == (not expected[1])
+        one_lane = [erased_mask >> t & 1 for t in range(len(cols))]
+        assert repair.easy_closure_for_mask(pairs, one_lane) == bool(expected[1])
 
 
 def test_easy_plan_on_a_long_code_makes_no_group_table(monkeypatch):
