@@ -11,7 +11,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import comb
 from operator import and_, or_
 
@@ -29,6 +29,7 @@ from .codes import (
 )
 from .gf2 import TooLarge, min_weight_nonzero_rowspan, transpose
 from .repair import (
+    checked_size,
     easy_closure_for_mask,
     easy_steps,
     easy_table,
@@ -159,15 +160,30 @@ def _sampled_subsets(n, e, seed, lo, hi):
         yield sum(1 << j for j in erased), erased
 
 
-def _parallel_ok(tables, erased_mask, erased) -> bool:
-    """Every erased node has an all-live group in its parallel table."""
+def _least_bound(table_at, r, erased_mask, erased) -> int:
+    """The least bound b <= r at which every erased node keeps an all-live
+    group of at most b helpers, or r + 1 when there is none: the pattern
+    passes the parallel check at every bound from b up.  A node's row at
+    bound b holds exactly its groups of size <= b, so b starts at 1 and is
+    raised only when a node has no all-live group at the current bound.
+    table_at(b) is parallel_table(cols, b) behind a cache of the chunk's
+    own, as every parallel_table lookup hashes all of cols: a bound's table
+    is built or looked up once per chunk, on its first need."""
+    b = 1
+    table = table_at(b) if erased else ()
     for t in erased:
-        for m in tables[t]:
-            if not m & erased_mask:
-                break
-        else:
-            return False
-    return True
+        while True:
+            for m in table[t]:
+                if not m & erased_mask:
+                    break
+            else:
+                b += 1
+                if b > r:
+                    return b
+                table = table_at(b)
+                continue
+            break
+    return b
 
 
 def _tally(pairs):
@@ -298,11 +314,12 @@ def _sampled_chunk(cols, k, pairs, seed, lo, hi):
     return (len(masks), *tally)
 
 
-def _sampled_parallel_chunk(table, n, e, seed, lo, hi):
-    """Parallel repair with table of the pattern drawn for each trial index
-    in [lo, hi)."""
-    return _tally((mask, _parallel_ok(table, mask, erased))
-                  for mask, erased in _sampled_subsets(n, e, seed, lo, hi))
+def _sampled_parallel_chunk(cols, r, e, seed, lo, hi):
+    """Parallel r-repair of the pattern drawn for each trial index in
+    [lo, hi), each checked at its least bound."""
+    table_at = cache(partial(parallel_table, cols))
+    return _tally((mask, _least_bound(table_at, r, mask, erased) <= r)
+                  for mask, erased in _sampled_subsets(len(cols), e, seed, lo, hi))
 
 
 def _prefix_runs(n, e, lo, hi):
@@ -439,20 +456,24 @@ def verify_parallel_capacity(
 ) -> VerifyReport:
     """Every pattern with exactly e erasures must admit parallel r-repair:
     each erased node keeps an all-live group of at most r helpers.  An
-    exhaustive sweep checks one prefix run at a time (``_prefix_chunk``)."""
+    exhaustive sweep checks one prefix run at a time (``_prefix_chunk``)
+    over the whole table at bound r; a sampled one checks each pattern at
+    its least bound (``_least_bound``), building a bound's table only when
+    some node first needs it."""
     cols = code.cols
     n = code.n
     if not 0 <= e <= n:
         raise ValueError(f"erasure count {e} outside 0..{n}")
     if isinstance(mode, Exhaustive) and comb(n, e) > MAX_SWEEP_PATTERNS:
         raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
-    table = parallel_table(cols, r)
+    checked_size(r)
     if isinstance(mode, Exhaustive):
+        table = parallel_table(cols, r)
         chunks = [partial(_prefix_chunk, table, n, e, lo, hi)
                   for lo, hi in _ranges(comb(n, e), workers)]
         checked = f"parallel r={r} e={e} exhaustive"
     else:
-        chunks = [partial(_sampled_parallel_chunk, table, n, e, mode.seed, lo, hi)
+        chunks = [partial(_sampled_parallel_chunk, cols, r, e, mode.seed, lo, hi)
                   for lo, hi in _ranges(mode.trials, workers * 4)]
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
     examined, _, repaired, ce = _merge_counts(_run_chunks(chunks, workers))
@@ -610,10 +631,13 @@ class SimulationReport:
     mean_xors_per_repaired_node: float
 
 
-def _sim_chunk(cols, k, pairs, tables, e, seed, lo, hi):
+def _sim_chunk(cols, k, pairs, r_values, e, seed, lo, hi):
     """Counts over trials [lo, hi): correctable, easy-repaired, XORs and
-    nodes of the easy repairs, then parallel repairs per table (one per r)."""
-    counts = [0] * (4 + len(tables))
+    nodes of the easy repairs, then parallel repairs per bound in r_values,
+    all read off each pattern's one least bound."""
+    counts = [0] * (4 + len(r_values))
+    table_at = cache(partial(parallel_table, cols))
+    top = max(r_values, default=0)
     for emask, erased in _sampled_subsets(len(cols), e, seed, lo, hi):
         if full_rank_on_live(cols, emask, k):
             counts[0] += 1
@@ -622,9 +646,11 @@ def _sim_chunk(cols, k, pairs, tables, e, seed, lo, hi):
                 counts[1] += 1
                 counts[2] += sum(len(h) - 1 for _, h in steps)
                 counts[3] += len(steps)
-        for i, table in enumerate(tables, 4):
-            if _parallel_ok(table, emask, erased):
-                counts[i] += 1
+        if top:
+            least = _least_bound(table_at, top, emask, erased)
+            for i, r in enumerate(r_values, 4):
+                if least <= r:
+                    counts[i] += 1
     return counts
 
 
@@ -644,8 +670,9 @@ def monte_carlo_repair(
         raise ValueError("erasure count out of range")
     cols = code.cols
     pairs = easy_table(cols)
-    tables = tuple(parallel_table(cols, r) for r in r_values)
-    chunks = [partial(_sim_chunk, cols, code.k, pairs, tables, erasures, seed, lo, hi)
+    for r in r_values:
+        checked_size(r)
+    chunks = [partial(_sim_chunk, cols, code.k, pairs, r_values, erasures, seed, lo, hi)
               for lo, hi in _ranges(trials, workers * 4)]
     correctable, easy_ok, xor_total, nodes_total, *par_ok = map(
         sum, zip(*_run_chunks(chunks, workers)))

@@ -330,7 +330,7 @@ def _group_table(cols: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]
 def _groups_of(code: LinearCode, target: int, max_size: int) -> tuple[int, ...]:
     """The target's minimal repair groups of at most max_size helpers, as
     helper bitmasks in (size, indices) order."""
-    _checked_size(max_size)
+    checked_size(max_size)
     if not 0 <= target < code.n:
         raise DimensionMismatch("target index out of range")
     return _group_table(code.cols, max_size)[target]
@@ -566,7 +566,8 @@ def max_disjoint_groups(
     return len(packing), [RepairGroup(target, frozenset(mask_indices(g))) for g in packing]
 
 
-def _checked_size(max_size: int) -> int:
+def checked_size(max_size: int) -> int:
+    """max_size, or InvalidBound when it lies outside 1..MAX_GROUP_SIZE."""
     if not 1 <= max_size <= MAX_GROUP_SIZE:
         raise InvalidBound(f"max_size {max_size} outside 1..{MAX_GROUP_SIZE}")
     return max_size
@@ -576,7 +577,7 @@ def availability_profile(code: LinearCode, r_max: int) -> AvailabilityProfile:
     """Per-node disjoint-group counts for each r <= r_max, plus code-level t."""
     if code.n > PROFILE_MAX_NODES:
         raise InvalidBound(f"code length {code.n} exceeds profile guard {PROFILE_MAX_NODES}")
-    _checked_size(r_max)
+    checked_size(r_max)
     per_node = tuple(
         tuple(max_disjoint_groups(code, node, r)[0] for r in range(1, r_max + 1))
         for node in range(code.n)
@@ -617,7 +618,7 @@ def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]
     (size, indices) order.
     """
     out = []
-    for groups in _group_table(cols, _checked_size(r)):
+    for groups in _group_table(cols, checked_size(r)):
         packing, rest = _first_fit(groups)
         out.append(tuple(packing + rest))
     return tuple(out)

@@ -8,12 +8,14 @@ speed; nothing in ``simplexor`` calls them.
 from __future__ import annotations
 
 import bisect
+import random
 import zlib
 from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode, simplex_columns, simplex_parity_rows
 from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows, transpose
+from simplexor.metrics import trial_seed
 from simplexor.storage import NotCorrectable, Shard, ShardManifest
 
 
@@ -254,14 +256,23 @@ def subsets(n: int, e: int, lo: int, hi: int):
         yield sum(1 << j for j in erased), erased
 
 
-def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int, lo: int, hi: int):
-    """The per-pattern parallel check of the e-subsets of lex rank in
-    [lo, hi): each erased node needs a group in its table row that misses
-    every erasure.  Returns (examined, examined, repaired, the lex-first
-    failing mask, the least failing mask), as the library's chunks do."""
+def sampled_subsets(n: int, e: int, seed: int, lo: int, hi: int):
+    """The e-subset of range(n) drawn for each trial index in [lo, hi), by
+    a fresh generator seeded with trial_seed(seed, i), each as (bitmask,
+    ascending indices)."""
+    for i in range(lo, hi):
+        erased = tuple(sorted(random.Random(trial_seed(seed, i)).sample(range(n), e)))
+        yield sum(1 << j for j in erased), erased
+
+
+def parallel_tally(table: Sequence[Sequence[int]], patterns: Iterable[tuple[int, tuple[int, ...]]]):
+    """The per-pattern parallel check of each (bitmask, erased indices) in
+    patterns: each erased node needs a group in its table row that misses
+    every erasure.  Returns (examined, examined, repaired, the first failing
+    mask, the least failing mask), as the library's chunks do."""
     examined = repaired = 0
     first = least = None
-    for mask, erased in subsets(n, e, lo, hi):
+    for mask, erased in patterns:
         examined += 1
         if all(any(not g & mask for g in table[t]) for t in erased):
             repaired += 1
@@ -270,3 +281,8 @@ def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int, lo
         else:
             least = min(least, mask)
     return examined, examined, repaired, first, least
+
+
+def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int, lo: int, hi: int):
+    """parallel_tally of the e-subsets of lex rank in [lo, hi)."""
+    return parallel_tally(table, subsets(n, e, lo, hi))

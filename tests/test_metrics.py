@@ -13,7 +13,13 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import easy_closure_scalar, parallel_tally_by_pattern, subsets
+from oracles import (
+    easy_closure_scalar,
+    parallel_tally,
+    parallel_tally_by_pattern,
+    sampled_subsets,
+    subsets,
+)
 
 from simplexor import metrics, repair
 from simplexor.codes import (
@@ -385,6 +391,32 @@ def test_prefix_chunk_matches_per_pattern_check(code, data):
                     assert verify_parallel_capacity(code, r, e, Exhaustive(), workers) == reference
 
 
+@given(small_codes_with_repeats(), st.data())
+def test_least_bound_checks_match_the_whole_table(code, data):
+    """Sampled parallel sweeps and the simulation's parallel fractions,
+    which check each pattern at its least bound, against the per-pattern
+    check over the whole table at each bound, for every r <= 5 and e <= n,
+    at 1 and 3 workers run in this process."""
+    n = code.n
+    seed = data.draw(st.integers(0, 1 << 64))
+    trials = data.draw(st.integers(1, 30))
+    for e in range(n + 1):
+        tallies = {r: parallel_tally(repair.parallel_table(code.cols, r),
+                                     sampled_subsets(n, e, seed, 0, trials))
+                   for r in range(1, 6)}
+        for r, (examined, _, repaired, first, _) in tallies.items():
+            reference = metrics.VerifyReport(
+                code.code_id, f"parallel r={r} e={e} sampled seed={seed} trials={trials}",
+                first is None, examined, examined, repaired,
+                None if first is None else repair.mask_indices(first))
+            fractions = tuple((b, tallies[b][2] / trials) for b in range(1, r + 1))
+            with patch.object(metrics, "_run_chunks", _in_process):
+                for workers in (1, 3):
+                    assert verify_parallel_capacity(code, r, e, Sampled(seed, trials), workers) == reference
+                    sim = monte_carlo_repair(code, trials, e, seed, r_values=range(1, r + 1), workers=workers)
+                    assert sim.parallel_fractions == fractions
+
+
 # Losing node 2 alone fails first in (count, lex) order, but the failing
 # pair {0, 1}, the only two copies of column 1, has the smaller bitmask.
 SPLIT_ORDER_COLUMNS = (1, 1, 2, 4, 7)
@@ -460,27 +492,27 @@ def test_walk_count_of_um22_up_to_six_erasures():
 
 
 def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
+    """A bound out of range is refused before any chunk runs.  A sampled
+    chunk builds a bound's parallel table on its first need only, and no
+    pattern of the r = 5, e = 11 job on um:3:3 needs a bound above 3."""
     code = um_block_code(2, 1)
-    built = []
-    table, pairs, run = metrics.parallel_table, metrics.easy_table, metrics._run_chunks
-    monkeypatch.setattr(metrics, "parallel_table", lambda cols, r: built.append(r) or table(cols, r))
-    monkeypatch.setattr(metrics, "easy_table", lambda cols: built.append("easy") or pairs(cols))
-    monkeypatch.setattr(metrics, "_run_chunks",
-                        lambda chunks, workers: built.append("chunks") or run(chunks, workers))
-    verify_parallel_capacity(code, 3, 4, Sampled(seed=1, trials=200))
-    monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
-    verify_easy_repair_property(code, Exhaustive(max_erasures=4))
-    verify_easy_repair_property(code, Sampled(seed=1, trials=200))
-    assert built == [3, "chunks", "easy", 2, 3, "chunks", "easy", "chunks", "easy", "chunks"]
 
     def no_chunks(specs, workers):
         raise AssertionError("a chunk ran")
 
-    monkeypatch.setattr(metrics, "_run_chunks", no_chunks)
-    with pytest.raises(InvalidBound):
-        verify_parallel_capacity(code, 7, 2, Sampled(seed=1, trials=10), workers=2)
-    with pytest.raises(InvalidBound):
-        monte_carlo_repair(code, 10, 2, seed=1, r_values=(0,), workers=2)
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_run_chunks", no_chunks)
+        with pytest.raises(InvalidBound):
+            verify_parallel_capacity(code, 7, 2, Sampled(seed=1, trials=10), workers=2)
+        with pytest.raises(InvalidBound):
+            monte_carlo_repair(code, 10, 2, seed=1, r_values=(0,), workers=2)
+    asked, chunks = [], []
+    table, run = metrics.parallel_table, metrics._run_chunks
+    monkeypatch.setattr(metrics, "parallel_table", lambda cols, b: asked.append(b) or table(cols, b))
+    monkeypatch.setattr(metrics, "_run_chunks", lambda cs, workers: chunks.extend(cs) or run(cs, workers))
+    report = verify_parallel_capacity(um_block_code(3, 3), 5, 11, Sampled(3, 2000))
+    assert (report.verdict, report.repaired) == (True, 2000)
+    assert set(asked) == {1, 2, 3} and len(asked) <= 3 * len(chunks)
 
 
 def test_sampled_sweep_and_simulation_on_a_long_code_make_no_group_table(monkeypatch):
