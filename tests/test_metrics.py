@@ -492,9 +492,10 @@ def test_walk_count_of_um22_up_to_six_erasures():
 
 
 def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
-    """A bound out of range is refused before any chunk runs.  A sampled
-    chunk builds a bound's parallel table on its first need only, and no
-    pattern of the r = 5, e = 11 job on um:3:3 needs a bound above 3."""
+    """A bound out of range is refused before any chunk runs, and the easy
+    table is built once, before the chunks.  A sampled chunk builds a
+    bound's parallel table on its first need only, and no pattern of the
+    r = 5, e = 11 job on um:3:3 needs a bound above 3."""
     code = um_block_code(2, 1)
 
     def no_chunks(specs, workers):
@@ -513,6 +514,13 @@ def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     report = verify_parallel_capacity(um_block_code(3, 3), 5, 11, Sampled(3, 2000))
     assert (report.verdict, report.repaired) == (True, 2000)
     assert set(asked) == {1, 2, 3} and len(asked) <= 3 * len(chunks)
+    built, pairs = [], metrics.easy_table
+    monkeypatch.setattr(metrics, "easy_table", lambda cols: built.append("easy") or pairs(cols))
+    monkeypatch.setattr(metrics, "_run_chunks", lambda cs, workers: built.append("chunks") or run(cs, workers))
+    monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
+    verify_easy_repair_property(code, Exhaustive(max_erasures=4))
+    verify_easy_repair_property(code, Sampled(seed=1, trials=200))
+    assert built == ["easy", "chunks"] * 3
 
 
 def test_sampled_sweep_and_simulation_on_a_long_code_make_no_group_table(monkeypatch):
