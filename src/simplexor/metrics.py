@@ -11,7 +11,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from math import comb
 from operator import and_, or_
 
@@ -36,6 +36,8 @@ from .repair import (
     full_rank_on_live,
     mask_indices,
     max_disjoint_groups,
+    parallel_rows,
+    parallel_stuck_lanes,
     parallel_table,
 )
 
@@ -160,48 +162,6 @@ def _sampled_subsets(n, e, seed, lo, hi):
         yield sum(1 << j for j in erased), erased
 
 
-def _least_bound(table_at, r, erased_mask, erased) -> int:
-    """The least bound b <= r at which every erased node keeps an all-live
-    group of at most b helpers, or r + 1 when there is none: the pattern
-    passes the parallel check at every bound from b up.  A node's row at
-    bound b holds exactly its groups of size <= b, so b starts at 1 and is
-    raised only when a node has no all-live group at the current bound.
-    table_at(b) is parallel_table(cols, b) behind a cache of the chunk's
-    own, as every parallel_table lookup hashes all of cols: a bound's table
-    is built or looked up once per chunk, on its first need."""
-    b = 1
-    table = table_at(b) if erased else ()
-    for t in erased:
-        while True:
-            for m in table[t]:
-                if not m & erased_mask:
-                    break
-            else:
-                b += 1
-                if b > r:
-                    return b
-                table = table_at(b)
-                continue
-            break
-    return b
-
-
-def _tally(pairs):
-    """Count (mask, verdict) pairs, every pattern correctable.  Returns the
-    counts and the first and the least failing mask."""
-    examined = repaired = 0
-    first = least = None
-    for mask, ok in pairs:
-        examined += 1
-        if ok:
-            repaired += 1
-        elif first is None:
-            first = least = mask
-        elif mask < least:
-            least = mask
-    return examined, examined, repaired, first, least
-
-
 def _set_bits(x: int):
     """The set bits of x, ascending, found by str.find over its binary
     text: linear in its length, where peeling off the lowest bit again and
@@ -229,22 +189,28 @@ def _unrank(n: int, e: int, rank: int) -> int:
     return mask
 
 
-def _subset_lanes(n: int, cap: int) -> list[list[int]]:
-    """For each e <= cap, the node lanes of the e-subsets of range(n): bit p
-    of lanes[e][j] is set when the subset of lex rank p holds node j.
+def _suffix_lanes(n: int, cap: int):
+    """For each suffix range(a, n), a from n down to 0, the node lanes of its
+    e-subsets for each e <= cap: bit p of layers[e][j] is set when the
+    subset of lex rank p holds node a + j.
 
-    One pass over the suffixes range(a, n), a from n - 1 down to 0: the
-    e-subsets of a suffix in lex order are those holding its first index
-    a, which are a plus the (e - 1)-subsets of the next suffix, then those
-    without it, the e-subsets of the next suffix."""
-    layers: list[list[int]] = [[] for _ in range(cap + 1)]  # the suffix's nodes
-    widths = [1] + [0] * cap  # how many e-subsets the suffix has
-    for _ in range(n):
-        for e in range(cap, 0, -1):
-            w = widths[e - 1]
-            layers[e] = [(1 << w) - 1] + [x | y << w for x, y in zip(layers[e - 1], layers[e])]
-            widths[e] += w
-        layers[0] = [0] + layers[0]
+    The e-subsets of a suffix in lex order are those holding its first
+    index a, which are a plus the (e - 1)-subsets of the next suffix, then
+    those without it, the e-subsets of the next suffix."""
+    layers: list[list[int]] = [[] for _ in range(cap + 1)]
+    yield layers
+    for m in range(n):  # m: the next suffix's length
+        prev, layers = layers, [[0] + layers[0]]
+        for e in range(1, cap + 1):
+            w = comb(m, e - 1)
+            layers.append([(1 << w) - 1] + [x | y << w for x, y in zip(prev[e - 1], prev[e])])
+        yield layers
+
+
+def _subset_lanes(n: int, cap: int) -> list[list[int]]:
+    """For each e <= cap, the node lanes of the e-subsets of range(n)."""
+    for layers in _suffix_lanes(n, cap):
+        pass
     return layers
 
 
@@ -314,86 +280,57 @@ def _sampled_chunk(cols, k, pairs, seed, lo, hi):
     return (len(masks), *tally)
 
 
+def _parallel_layer(cols, r, e):
+    """Parallel r-repair of every e-subset of the nodes, in lex order, over
+    the whole table at bound r: one lane pass per least erased node a, in
+    which a is erased in every lane and the nodes above a carry the lanes
+    of the (e - 1)-subsets of the suffix range(a + 1, n).  Returns the tally
+    with the lex-first failing mask."""
+    n = len(cols)
+    if not e:
+        return 1, 1, 1, None, None
+    rows = parallel_rows(parallel_table(cols, r), e)
+    failed = 0
+    first = None
+    for a, layers in zip(range(n - 1, -1, -1), _suffix_lanes(n, e - 1)):
+        full = (1 << comb(n - a - 1, e - 1)) - 1
+        stuck = parallel_stuck_lanes(rows, [0] * a + [full] + layers[e - 1], full)
+        if stuck:
+            failed += stuck.bit_count()
+            rank = (stuck & -stuck).bit_length() - 1
+            first = 1 << a | _unrank(n - a - 1, e - 1, rank) << a + 1
+    total = comb(n, e)
+    return total, total, total - failed, first, first
+
+
+def _stuck_by_bound(cols, e, masks, top):
+    """The lanes still failing the parallel check at each bound 1..top, lane
+    p the pattern masks[p] of e erasures.  A node's row at bound b holds
+    exactly its groups of at most b helpers, so a lane that passes at b
+    passes at every bound above: only the lanes still failing go on, and a
+    bound's table is fetched only while some lane is pending."""
+    lanes = transpose(masks, len(cols))
+    pending = reduce(or_, lanes, 0)
+    out = []
+    for b in range(1, top + 1):
+        if pending:
+            pending = parallel_stuck_lanes(parallel_rows(parallel_table(cols, b), e), lanes, pending)
+        out.append(pending)
+    return out
+
+
 def _sampled_parallel_chunk(cols, r, e, seed, lo, hi):
     """Parallel r-repair of the pattern drawn for each trial index in
-    [lo, hi), each checked at its least bound."""
-    table_at = cache(partial(parallel_table, cols))
-    return _tally((mask, _least_bound(table_at, r, mask, erased) <= r)
-                  for mask, erased in _sampled_subsets(len(cols), e, seed, lo, hi))
+    [lo, hi), one lane each."""
+    masks = [mask for mask, _ in _sampled_subsets(len(cols), e, seed, lo, hi)]
+    stuck = _stuck_by_bound(cols, e, masks, r)[-1]
+    first = masks[(stuck & -stuck).bit_length() - 1] if stuck else None
+    return len(masks), len(masks), len(masks) - stuck.bit_count(), first, first
 
 
-def _prefix_runs(n, e, lo, hi):
-    """Runs (prefix, start, stop) of the e-subsets of range(n), e >= 1, with
-    lex rank in [lo, hi): the subsets prefix + (i,), i in range(start, stop).
-    Each prefix's subsets are adjacent in lex order.  The first run starts
-    at the subset of rank lo, found by unranking; each later prefix is the
-    lex successor of the one before, among the (e - 1)-subsets of
-    range(n - 1)."""
-    if lo >= hi:
-        return
-    *prefix, start = mask_indices(_unrank(n, e, lo))
-    m = e - 1
-    left = hi - lo
-    while True:
-        stop = min(n, start + left)
-        yield tuple(prefix), start, stop
-        left -= stop - start
-        if not left:
-            return
-        i = m - 1
-        while prefix[i] == n - 1 - m + i:  # the largest index position i can hold
-            i -= 1
-        prefix[i] += 1
-        for d in range(i + 1, m):
-            prefix[d] = prefix[d - 1] + 1
-        start = prefix[-1] + 1
-
-
-def _prefix_chunk(table, n, e, lo, hi):
-    """Parallel repair with table of the e-subsets of lex rank in [lo, hi),
-    one run P + {i} at a time, tallied as the per-pattern check does.
-    Node t of P fails exactly when i is in need_t, the AND of t's groups
-    that miss P (every node if none does); child i fails besides when none
-    of its own groups misses P.  A row that opens with e pairwise-disjoint
-    groups (its first-fit packing) is never scanned: the other e - 1
-    erasures hit at most e - 1 of them."""
-    if e == 0:
-        return (1, 1, 1, None, None) if lo < hi else (0, 0, 0, None, None)
-    unsafe = 0
-    for t, row in enumerate(table):
-        head = row[:e]
-        if len(head) < e or sum(g.bit_count() for g in head) != reduce(or_, head).bit_count():
-            unsafe |= 1 << t
-    bits = [1 << j for j in range(n)]
-    examined = repaired = 0
-    first = least = None
-    for prefix, start, stop in _prefix_runs(n, e, lo, hi):
-        pmask = bad = 0
-        for t in prefix:
-            pmask |= bits[t]
-        for t in mask_indices(pmask & unsafe):
-            need = (1 << n) - 1
-            for g in table[t]:
-                if not g & pmask:
-                    need &= g
-                    if not need:
-                        break
-            bad |= need
-        run = (1 << stop) - (1 << start)
-        fails = bad & run
-        for i in mask_indices(run & unsafe & ~bad):
-            for g in table[i]:
-                if not g & pmask:
-                    break
-            else:
-                fails |= bits[i]
-        examined += stop - start
-        repaired += stop - start - fails.bit_count()
-        if fails:
-            mask = pmask | fails & -fails
-            first = first or mask
-            least = min(least or mask, mask)
-    return examined, examined, repaired, first, least
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _run_chunks(chunks, workers: int):
@@ -401,8 +338,7 @@ def _run_chunks(chunks, workers: int):
     ``_*_chunk``, so it pickles.  The chunks were cut for the requested
     worker count; the pool starts no more processes than there are chunks
     or cores."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_workers(workers)
     procs = min(workers, len(chunks), os.cpu_count() or 1)
     if procs <= 1:
         return [chunk() for chunk in chunks]
@@ -436,8 +372,8 @@ def verify_easy_repair_property(
         total = sum(comb(n, e) for e in range(cap + 1))
         if total > MAX_SWEEP_PATTERNS:
             raise TooLarge(f"{total} patterns exceeds the sweep guard")
-        pairs = easy_table(cols)
-        parts = _run_chunks([partial(_easy_layers, cols, k, pairs, cap)], workers)[0]
+        _check_workers(workers)
+        parts = _easy_layers(cols, k, easy_table(cols), cap)
         checked = "easy-repair exhaustive"
         if mode.max_erasures is not None:
             checked += f" <={mode.max_erasures} erasures"
@@ -455,11 +391,11 @@ def verify_parallel_capacity(
     code: LinearCode, r: int, e: int, mode: Exhaustive | Sampled, workers: int = 1
 ) -> VerifyReport:
     """Every pattern with exactly e erasures must admit parallel r-repair:
-    each erased node keeps an all-live group of at most r helpers.  An
-    exhaustive sweep checks one prefix run at a time (``_prefix_chunk``)
-    over the whole table at bound r; a sampled one checks each pattern at
-    its least bound (``_least_bound``), building a bound's table only when
-    some node first needs it."""
+    each erased node keeps an all-live group of at most r helpers.  Each
+    pattern is one lane of ``parallel_stuck_lanes``.  An exhaustive sweep
+    runs in the calling process over the whole table at bound r, one lane
+    pass per least erased node (``_parallel_layer``); a sampled one checks
+    its lanes bound by bound from 1 up (``_stuck_by_bound``)."""
     cols = code.cols
     n = code.n
     if not 0 <= e <= n:
@@ -468,15 +404,14 @@ def verify_parallel_capacity(
         raise TooLarge(f"C({n},{e}) patterns exceeds the sweep guard")
     checked_size(r)
     if isinstance(mode, Exhaustive):
-        table = parallel_table(cols, r)
-        chunks = [partial(_prefix_chunk, table, n, e, lo, hi)
-                  for lo, hi in _ranges(comb(n, e), workers)]
+        _check_workers(workers)
+        parts = [_parallel_layer(cols, r, e)]
         checked = f"parallel r={r} e={e} exhaustive"
     else:
-        chunks = [partial(_sampled_parallel_chunk, cols, r, e, mode.seed, lo, hi)
-                  for lo, hi in _ranges(mode.trials, workers * 4)]
+        parts = _run_chunks([partial(_sampled_parallel_chunk, cols, r, e, mode.seed, lo, hi)
+                             for lo, hi in _ranges(mode.trials, workers * 4)], workers)
         checked = f"parallel r={r} e={e} sampled seed={mode.seed} trials={mode.trials}"
-    examined, _, repaired, ce = _merge_counts(_run_chunks(chunks, workers))
+    examined, _, repaired, ce = _merge_counts(parts)
     return VerifyReport(code.code_id, checked, ce is None, examined, examined, repaired, ce)
 
 
@@ -634,11 +569,11 @@ class SimulationReport:
 def _sim_chunk(cols, k, pairs, r_values, e, seed, lo, hi):
     """Counts over trials [lo, hi): correctable, easy-repaired, XORs and
     nodes of the easy repairs, then parallel repairs per bound in r_values,
-    all read off each pattern's one least bound."""
-    counts = [0] * (4 + len(r_values))
-    table_at = cache(partial(parallel_table, cols))
-    top = max(r_values, default=0)
+    one lane per trial."""
+    counts = [0] * 4
+    masks = []
     for emask, erased in _sampled_subsets(len(cols), e, seed, lo, hi):
+        masks.append(emask)
         if full_rank_on_live(cols, emask, k):
             counts[0] += 1
             steps, remaining = easy_steps(pairs, erased)
@@ -646,12 +581,8 @@ def _sim_chunk(cols, k, pairs, r_values, e, seed, lo, hi):
                 counts[1] += 1
                 counts[2] += sum(len(h) - 1 for _, h in steps)
                 counts[3] += len(steps)
-        if top:
-            least = _least_bound(table_at, top, emask, erased)
-            for i, r in enumerate(r_values, 4):
-                if least <= r:
-                    counts[i] += 1
-    return counts
+    stuck = _stuck_by_bound(cols, e, masks, max(r_values, default=0))
+    return counts + [len(masks) - stuck[r - 1].bit_count() for r in r_values]
 
 
 def monte_carlo_repair(

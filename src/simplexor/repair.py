@@ -624,6 +624,45 @@ def parallel_table(cols: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
+def parallel_rows(table: Sequence[Sequence[int]], e: int) -> list[tuple[int, Sequence[int]]]:
+    """The rows (t, groups) of a parallel table that a pattern of e erasures,
+    t among them, can leave with every group hit: those that do not open
+    with e pairwise-disjoint groups, as the other e - 1 erasures hit at most
+    e - 1 of them (no node is in its own groups)."""
+    rows = []
+    for t, row in enumerate(table):
+        head = row[:e]
+        if len(head) < e or sum(g.bit_count() for g in head) != reduce(or_, head, 0).bit_count():
+            rows.append((t, row))
+    return rows
+
+
+def parallel_stuck_lanes(
+    rows: Iterable[tuple[int, Sequence[int]]], lanes: Sequence[int], test: int
+) -> int:
+    """Parallel repair in many erasure patterns at once: bit p of lanes[t] is
+    set when pattern p, lane p, erases node t.  Returns the lanes of test in
+    which some erased node of rows, ``parallel_rows(table, e)`` for patterns
+    of e erasures, has no all-live group: the AND over its groups of the
+    lanes that erase a member, one OR per member.  A lane found stuck is
+    not tested again."""
+    stuck = 0
+    for t, row in rows:
+        left = lanes[t] & test
+        for g in row:
+            if not left:
+                break
+            hit = 0
+            while g:
+                i = g.bit_length() - 1
+                hit |= lanes[i]
+                g ^= 1 << i
+            left &= hit
+        stuck |= left
+        test ^= left
+    return stuck
+
+
 def parallel_repair_plan(
     code: LinearCode, pattern: ErasurePattern, r: int
 ) -> RepairPlan | RepairFailure:

@@ -371,8 +371,9 @@ def test_max_erasures_above_n_stays_clamped(capsys):
         ["verify", "--code", "simplex:3", "--seed", "1", "--trials", "10"],
         ["simulate", "--code", "simplex:3", "--trials", "10", "--seed", "1",
          "--max-erasures", "2"],
+        ["verify", "--code", "simplex:3", "--r", "2", "--max-erasures", "2", "--exhaustive"],
     ],
-    ids=["verify-exhaustive", "verify-sampled", "simulate"],
+    ids=["verify-exhaustive", "verify-sampled", "simulate", "verify-parallel-exhaustive"],
 )
 def test_workers_below_one_is_usage_error(capsys, args, workers):
     status, out, err = run(capsys, *args, "--workers", workers)

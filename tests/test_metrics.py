@@ -18,7 +18,6 @@ from oracles import (
     parallel_tally,
     parallel_tally_by_pattern,
     sampled_subsets,
-    subsets,
 )
 
 from simplexor import metrics, repair
@@ -229,10 +228,10 @@ def test_pool_starts_at_most_one_process_per_chunk_and_core(monkeypatch):
     assert _PoolRecorder.sizes == [3]
     assert sampled == verify_easy_repair_property(code, Sampled(seed=5, trials=200))
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: 64)
-    # seven 1-erasure patterns: seven chunks, one process each
-    par = verify_parallel_capacity(code, 2, 1, Exhaustive(), workers=4000)
+    # seven trials: seven chunks, one process each
+    par = verify_parallel_capacity(code, 2, 1, Sampled(seed=5, trials=7), workers=4000)
     assert _PoolRecorder.sizes == [3, 7]
-    assert par == verify_parallel_capacity(code, 2, 1, Exhaustive())
+    assert par == verify_parallel_capacity(code, 2, 1, Sampled(seed=5, trials=7))
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
     assert verify_easy_repair_property(code, Exhaustive(), workers=8).verdict
     assert _PoolRecorder.sizes == [3, 7]
@@ -248,24 +247,6 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     run = subprocess.run([sys.executable, "-c", probe], timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0
-
-
-def test_exhaustive_chunks_hold_balanced_pattern_counts(monkeypatch):
-    # 97.8% of the 6-subsets of um:2:2's 24 nodes lead with an index
-    # below 10, so halving the range of first indices is lopsided here
-    code = um_block_code(2, 2)
-    specs = []
-
-    def capture(chunk_specs, workers):
-        specs.extend(chunk_specs)
-        return []
-
-    monkeypatch.setattr(metrics, "_run_chunks", capture)
-    verify_parallel_capacity(code, 2, 6, Exhaustive(), workers=2)
-    assert [chunk.args[-3] for chunk in specs] == [6, 6]
-    parts = [[erased for _, erased in subsets(code.n, *chunk.args[-3:])] for chunk in specs]
-    assert parts[0] + parts[1] == list(combinations(range(code.n), 6))
-    assert max(len(p) for p in parts) <= 0.6 * comb(code.n, 6)
 
 
 def test_balanced_chunks_keep_reports_of_one_worker():
@@ -359,6 +340,10 @@ def test_subset_lanes_and_unranking_follow_lex_order():
                 sum(1 << j for j in sub) for sub in subs]
         for cap in range(n + 1):
             assert metrics._subset_lanes(n, cap) == layers[: cap + 1]
+        for a, suffix in zip(range(n, -1, -1), metrics._suffix_lanes(n, n)):
+            for e in range(n + 1):
+                subs = list(combinations(range(a, n), e))
+                assert suffix[e] == [sum((j in sub) << p for p, sub in enumerate(subs)) for j in range(a, n)]
     rng = random.Random(5)
     for x in [0, 1, 1 << 4000, *(rng.getrandbits(rng.choice((8, 300, 5000))) for _ in range(20))]:
         assert tuple(metrics._set_bits(x)) == repair.mask_indices(x)
@@ -368,27 +353,35 @@ def _in_process(chunks, workers):
     return [chunk() for chunk in chunks]
 
 
-@given(small_codes_with_repeats(), st.data())
-def test_prefix_chunk_matches_per_pattern_check(code, data):
-    """The prefix-run chunk against the per-pattern check, for every r and
-    e, on a drawn cut [lo, hi), which may be empty or split a run at either
-    end; and the reports of 1, 2 and 3 chunks, run in this process, against
-    one built from the per-pattern tally of every pattern."""
+@given(small_codes_with_repeats())
+def test_exhaustive_parallel_sweeps_match_the_per_pattern_check(code):
+    """Exhaustive parallel sweeps, one lane pass per least erased node, at
+    1, 2 and 3 workers, against a report built from the per-pattern tally
+    of every pattern, its counterexample the lex-first failing one, for
+    every r <= 4 and e <= n."""
     n = code.n
     for r in range(1, 5):
         table = repair.parallel_table(code.cols, r)
         for e in range(n + 1):
-            total = comb(n, e)
-            lo = data.draw(st.integers(0, total))
-            hi = data.draw(st.integers(lo, total))
-            assert metrics._prefix_chunk(table, n, e, lo, hi) == parallel_tally_by_pattern(table, n, e, lo, hi)
-            examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e, 0, total)
+            examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e, 0, comb(n, e))
             reference = metrics.VerifyReport(
                 code.code_id, f"parallel r={r} e={e} exhaustive", first is None, examined,
                 examined, repaired, None if first is None else repair.mask_indices(first))
-            with patch.object(metrics, "_run_chunks", _in_process):
-                for workers in (1, 2, 3):
-                    assert verify_parallel_capacity(code, r, e, Exhaustive(), workers) == reference
+            for workers in (1, 2, 3):
+                assert verify_parallel_capacity(code, r, e, Exhaustive(), workers) == reference
+
+
+def test_exhaustive_lane_passes_test_at_most_the_patterns_of_one_least_node(monkeypatch):
+    """The lanes of one exhaustive pass are the e-subsets with least node
+    a, at most C(n - 1, e - 1) of them (a = 0), never the whole layer."""
+    code = um_block_code(2, 3)
+    n, e = code.n, 5
+    tested, kernel = [], metrics.parallel_stuck_lanes
+    monkeypatch.setattr(metrics, "parallel_stuck_lanes",
+                        lambda rows, lanes, test: tested.append(test.bit_count()) or kernel(rows, lanes, test))
+    assert verify_parallel_capacity(code, 5, e, Exhaustive()).verdict
+    assert len(tested) == n and sum(tested) == comb(n, e)
+    assert max(tested) == comb(n - 1, e - 1)
 
 
 @given(small_codes_with_repeats(), st.data())
@@ -493,7 +486,8 @@ def test_walk_count_of_um22_up_to_six_erasures():
 
 def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     """A bound out of range is refused before any chunk runs, and the easy
-    table is built once, before the chunks.  A sampled chunk builds a
+    table is built once, before the chunks; an exhaustive easy sweep runs
+    in the calling process, with no chunks.  A sampled chunk builds a
     bound's parallel table on its first need only, and no pattern of the
     r = 5, e = 11 job on um:3:3 needs a bound above 3."""
     code = um_block_code(2, 1)
@@ -520,7 +514,7 @@ def test_parallel_tables_are_built_once_before_any_chunk(monkeypatch):
     monte_carlo_repair(code, 200, 4, seed=1, r_values=(2, 3))
     verify_easy_repair_property(code, Exhaustive(max_erasures=4))
     verify_easy_repair_property(code, Sampled(seed=1, trials=200))
-    assert built == ["easy", "chunks"] * 3
+    assert built == ["easy", "chunks", "easy", "easy", "chunks"]
 
 
 def test_sampled_sweep_and_simulation_on_a_long_code_make_no_group_table(monkeypatch):
