@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import random
 import zlib
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode, simplex_columns, simplex_parity_rows
@@ -249,10 +249,10 @@ def easy_closure_scalar(pairs: Sequence[Iterable[int]], erased_mask: int) -> boo
     return True
 
 
-def subsets(n: int, e: int, lo: int, hi: int):
-    """The e-subsets of range(n) with lex rank in [lo, hi), in lex order,
-    each as (bitmask, ascending indices)."""
-    for erased in islice(combinations(range(n), e), lo, hi):
+def subsets(n: int, e: int):
+    """The e-subsets of range(n) in lex order, each as (bitmask, ascending
+    indices)."""
+    for erased in combinations(range(n), e):
         yield sum(1 << j for j in erased), erased
 
 
@@ -283,6 +283,6 @@ def parallel_tally(table: Sequence[Sequence[int]], patterns: Iterable[tuple[int,
     return examined, examined, repaired, first, least
 
 
-def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int, lo: int, hi: int):
-    """parallel_tally of the e-subsets of lex rank in [lo, hi)."""
-    return parallel_tally(table, subsets(n, e, lo, hi))
+def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int):
+    """parallel_tally of every e-subset of range(n), in lex order."""
+    return parallel_tally(table, subsets(n, e))

@@ -363,7 +363,7 @@ def test_exhaustive_parallel_sweeps_match_the_per_pattern_check(code):
     for r in range(1, 5):
         table = repair.parallel_table(code.cols, r)
         for e in range(n + 1):
-            examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e, 0, comb(n, e))
+            examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e)
             reference = metrics.VerifyReport(
                 code.code_id, f"parallel r={r} e={e} exhaustive", first is None, examined,
                 examined, repaired, None if first is None else repair.mask_indices(first))
