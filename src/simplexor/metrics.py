@@ -189,19 +189,25 @@ def _unrank(n: int, e: int, rank: int) -> int:
     return mask
 
 
-def _suffix_lanes(n: int, cap: int):
+def _suffix_lanes(n: int, cap: int, low: int = 0):
     """For each suffix range(a, n), a from n down to 0, the node lanes of its
     e-subsets for each e <= cap: bit p of layers[e][j] is set when the
     subset of lex rank p holds node a + j.
 
     The e-subsets of a suffix in lex order are those holding its first
     index a, which are a plus the (e - 1)-subsets of the next suffix, then
-    those without it, the e-subsets of the next suffix."""
-    layers: list[list[int]] = [[] for _ in range(cap + 1)]
+    those without it, the e-subsets of the next suffix.  So layer e of the
+    whole range needs layer e - (n - m) and up at suffix length m: only the
+    layers that reach layer low at length n are built, the others None,
+    which keeps the middle layers out when low is near n."""
+    layers: list[list[int] | None] = [[] for _ in range(cap + 1)]
     yield layers
     for m in range(n):  # m: the next suffix's length
-        prev, layers = layers, [[0] + layers[0]]
-        for e in range(1, cap + 1):
+        lo = max(0, low - (n - m - 1))
+        prev, layers = layers, [None] * lo
+        if not lo:
+            layers.append([0] + prev[0])
+        for e in range(max(lo, 1), cap + 1):
             w = comb(m, e - 1)
             layers.append([(1 << w) - 1] + [x | y << w for x, y in zip(prev[e - 1], prev[e])])
         yield layers
@@ -290,16 +296,18 @@ def _parallel_layer(cols, r, e):
     if not e:
         return 1, 1, 1, None, None
     rows = parallel_rows(parallel_table(cols, r), e)
+    total = comb(n, e)
+    if not rows:
+        return total, total, total, None, None
     failed = 0
     first = None
-    for a, layers in zip(range(n - 1, -1, -1), _suffix_lanes(n, e - 1)):
+    for a, layers in zip(range(n - 1, -1, -1), _suffix_lanes(n - 1, e - 1, e - 1)):
         full = (1 << comb(n - a - 1, e - 1)) - 1
         stuck = parallel_stuck_lanes(rows, [0] * a + [full] + layers[e - 1], full)
         if stuck:
             failed += stuck.bit_count()
             rank = (stuck & -stuck).bit_length() - 1
             first = 1 << a | _unrank(n - a - 1, e - 1, rank) << a + 1
-    total = comb(n, e)
     return total, total, total - failed, first, first
 
 

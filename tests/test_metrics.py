@@ -384,6 +384,31 @@ def test_exhaustive_lane_passes_test_at_most_the_patterns_of_one_least_node(monk
     assert max(tested) == comb(n - 1, e - 1)
 
 
+@pytest.mark.parametrize("code", [simplex_code(5), um_block_code(3, 3)], ids=lambda c: c.code_id)
+def test_exhaustive_parallel_sweeps_near_every_node_build_no_middle_layer(code, monkeypatch):
+    """At e = n - 2, n - 1 and n on 31 and 70 nodes, an exhaustive parallel
+    sweep matches the per-pattern check and builds no lane wider than its
+    widest pass, C(n - 1, e - 1) patterns: the middle layers of the
+    suffixes, about 2^n patterns, stay unbuilt."""
+    n = code.n
+    widths, suffix_lanes = [], metrics._suffix_lanes
+
+    def recording(*args):
+        for layers in suffix_lanes(*args):
+            widths.extend(x.bit_length() for layer in layers if layer for x in layer)
+            yield layers
+
+    monkeypatch.setattr(metrics, "_suffix_lanes", recording)
+    table = repair.parallel_table(code.cols, 2)
+    for e in (n - 2, n - 1, n):
+        widths.clear()
+        examined, _, repaired, first, _ = parallel_tally_by_pattern(table, n, e)
+        report = verify_parallel_capacity(code, 2, e, Exhaustive())
+        assert (report.patterns_examined, report.repaired) == (examined, repaired)
+        assert report.counterexample == repair.mask_indices(first)
+        assert widths and max(widths) <= comb(n - 1, e - 1)
+
+
 @given(small_codes_with_repeats(), st.data())
 def test_least_bound_checks_match_the_whole_table(code, data):
     """Sampled parallel sweeps and the simulation's parallel fractions,
