@@ -303,8 +303,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print(f"error: out of memory in {args.command}", file=sys.stderr)
-        return 1
+        # print only once the handler is left: until then its traceback
+        # holds the failed command's frames and all the memory they took
+        pass
+    print(f"error: out of memory in {args.command}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

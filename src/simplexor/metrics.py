@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from math import comb
+from math import ceil, comb, log
 from operator import and_, or_
 
 from .codes import (
@@ -151,15 +151,51 @@ def _merge_counts(parts, least: bool = False):
     return examined, correctable, repaired, None if ce is None else mask_indices(ce)
 
 
-def _sampled_subsets(n, e, seed, lo, hi):
-    """(erasure bitmask, ascending erased indices) of the e-subset drawn for
-    each trial index in [lo, hi): the patterns of the sampled parallel
-    check and of the simulation."""
-    rng = random.Random()  # seeding resets the whole state: one generator serves every trial
-    for i in range(lo, hi):
-        rng.seed(trial_seed(seed, i))
-        erased = tuple(sorted(rng.sample(range(n), e)))
-        yield sum(1 << j for j in erased), erased
+def _sampled_masks(n, e, seed, lo, hi):
+    """The erasure bitmask drawn for each trial index in [lo, hi): every
+    sampled sweep and the simulation draw here.  Trial i reseeds one
+    Mersenne Twister with trial_seed(seed, i) and draws, with e None, each
+    node erased with probability 1/2, getrandbits(n); else the e-subset
+    random.Random.sample(range(n), e) picks.
+
+    CPython's sample is restated over getrandbits, so the masks stay those
+    of a fresh random.Random(trial_seed(seed, i)) per trial: a pool of the
+    unpicked indices with a swap into each vacancy when n is at most the
+    size of sample's set of picks, else rejection of picks already taken,
+    each draw below m taking getrandbits(m.bit_length()) until it falls
+    below m.  The generator is reseeded through the C-level seed, which for
+    an int does all random.Random.seed does but its type checks."""
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    bits = rng.getrandbits
+    if e is None:
+        return [reseed(trial_seed(seed, i)) or bits(n) for i in range(lo, hi)]
+    masks = []
+    width = n.bit_length()
+    pool = list(range(n))
+    if n <= (21 if e <= 5 else 21 + 4 ** ceil(log(e * 3, 4))):
+        for i in range(lo, hi):
+            reseed(trial_seed(seed, i))
+            mask = 0
+            left = pool[:]
+            for m in range(n, n - e, -1):
+                j = bits(m.bit_length())
+                while j >= m:
+                    j = bits(m.bit_length())
+                mask |= 1 << left[j]
+                left[j] = left[m - 1]
+            masks.append(mask)
+    else:
+        for i in range(lo, hi):
+            reseed(trial_seed(seed, i))
+            mask = 0
+            for _ in range(e):
+                j = bits(width)
+                while j >= n or mask >> j & 1:
+                    j = bits(width)
+                mask |= 1 << j
+            masks.append(mask)
+    return masks
 
 
 def _set_bits(x: int):
@@ -278,8 +314,7 @@ def _sampled_chunk(cols, k, pairs, seed, lo, hi):
     """Easy repair of the mask drawn for each trial index in [lo, hi), one
     lane each."""
     n = len(cols)
-    rng = random.Random()
-    masks = [rng.seed(trial_seed(seed, i)) or rng.getrandbits(n) for i in range(lo, hi)]
+    masks = _sampled_masks(n, None, seed, lo, hi)
     if not full_rank_on_live(cols, 0, k):
         return len(masks), 0, 0, None, None
     tally, _ = _lane_pass(cols, k, pairs, transpose(masks, n), len(masks), masks.__getitem__)
@@ -330,7 +365,7 @@ def _stuck_by_bound(cols, e, masks, top):
 def _sampled_parallel_chunk(cols, r, e, seed, lo, hi):
     """Parallel r-repair of the pattern drawn for each trial index in
     [lo, hi), one lane each."""
-    masks = [mask for mask, _ in _sampled_subsets(len(cols), e, seed, lo, hi)]
+    masks = _sampled_masks(len(cols), e, seed, lo, hi)
     stuck = _stuck_by_bound(cols, e, masks, r)[-1]
     first = masks[(stuck & -stuck).bit_length() - 1] if stuck else None
     return len(masks), len(masks), len(masks) - stuck.bit_count(), first, first
@@ -579,12 +614,11 @@ def _sim_chunk(cols, k, pairs, r_values, e, seed, lo, hi):
     nodes of the easy repairs, then parallel repairs per bound in r_values,
     one lane per trial."""
     counts = [0] * 4
-    masks = []
-    for emask, erased in _sampled_subsets(len(cols), e, seed, lo, hi):
-        masks.append(emask)
+    masks = _sampled_masks(len(cols), e, seed, lo, hi)
+    for emask in masks:
         if full_rank_on_live(cols, emask, k):
             counts[0] += 1
-            steps, remaining = easy_steps(pairs, erased)
+            steps, remaining = easy_steps(pairs, mask_indices(emask))
             if not remaining:
                 counts[1] += 1
                 counts[2] += sum(len(h) - 1 for _, h in steps)

@@ -265,6 +265,13 @@ def sampled_subsets(n: int, e: int, seed: int, lo: int, hi: int):
         yield sum(1 << j for j in erased), erased
 
 
+def sampled_coin_masks(n: int, seed: int, lo: int, hi: int) -> list[int]:
+    """The mask a sampled easy sweep draws for each trial index in [lo, hi),
+    each node erased with probability 1/2, by a fresh generator seeded with
+    trial_seed(seed, i)."""
+    return [random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi)]
+
+
 def parallel_tally(table: Sequence[Sequence[int]], patterns: Iterable[tuple[int, tuple[int, ...]]]):
     """The per-pattern parallel check of each (bitmask, erased indices) in
     patterns: each erased node needs a group in its table row that misses

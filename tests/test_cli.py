@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -423,14 +424,30 @@ def test_cli_outputs_are_pinned(capsys):
 
 
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    """The line is written once what the failed command held is freed:
+    printing it while the traceback keeps that memory can itself run out."""
+    class Held:
+        pass
+
+    held = []
+    freed_when_written = []
+
     def exhausted(args):
+        big = Held()
+        held.append(weakref.ref(big))
         raise MemoryError
 
+    def recording_print(*args, **kwargs):
+        freed_when_written.append(held[0]() is None)
+        print(*args, **kwargs)
+
     monkeypatch.setitem(cli._COMMANDS, "plan", exhausted)
+    monkeypatch.setattr(cli, "print", recording_print, raising=False)
     status, out, err = run(capsys, "plan", "--code", "simplex:9", "--erased", "0,1", "--r", "3")
     assert status == 1
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: out of memory in plan\n"
+    assert freed_when_written == [True]
 
 
 def test_simulate_requires_seed():

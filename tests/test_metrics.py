@@ -17,6 +17,7 @@ from oracles import (
     easy_closure_scalar,
     parallel_tally,
     parallel_tally_by_pattern,
+    sampled_coin_masks,
     sampled_subsets,
 )
 
@@ -713,6 +714,35 @@ def test_trial_seed_is_stable_and_spread():
     assert trial_seed(1, 0) == trial_seed(1, 0)
     seeds = {trial_seed(9, i) for i in range(1000)}
     assert len(seeds) == 1000
+    assert (trial_seed(1, 0), trial_seed(20260808, 29)) == (627405149472732430, 12288751055442235860)
+
+
+def test_the_first_sampled_patterns_are_pinned():
+    """The draw itself, as plain ints: a change to CPython's Mersenne
+    Twister seeding, getrandbits or sample shows here first."""
+    assert metrics._sampled_masks(um_block_code(2, 2).n, None, 7, 0, 5) == [
+        0xAED8B, 0x14C95B, 0xD1A12B, 0x90BDFE, 0x3EF2AB]
+    assert metrics._sampled_masks(um_block_code(3, 3).n, 11, 7, 0, 5) == [
+        0x14A002010001120820, 0x204001400088088680, 0x6508000024810120,
+        0x90000029091044020, 0x204180802080000344]
+
+
+@given(st.sampled_from([(1, (0, 1)), (24, (0, 3, 24)), (70, (0, 1, 6, 11, 35, 70)),
+                        (200, (0, 1, 5, 6, 11)), (1000, (2, 11))]),
+       st.data())
+def test_the_draw_matches_a_fresh_generator_per_trial(shape, data):
+    """Both branches of sample: a pool of indices up to its set-size bound
+    (n = 70 with e >= 6, n = 1) and rejection of taken picks beyond it
+    (n = 24 with e = 3, n = 70 with e <= 5, n = 200 and 1000); e = 0 and
+    e = n; and the fair-coin mask of the easy sweep; over any chunk cut."""
+    n, counts = shape
+    e = data.draw(st.sampled_from((None, *counts)))
+    seed = data.draw(st.integers(0, 1 << 64))
+    lo = data.draw(st.integers(0, 300))
+    hi = data.draw(st.integers(lo, lo + 40))
+    expected = (sampled_coin_masks(n, seed, lo, hi) if e is None
+                else [mask for mask, _ in sampled_subsets(n, e, seed, lo, hi)])
+    assert metrics._sampled_masks(n, e, seed, lo, hi) == expected
 
 
 @pytest.mark.parametrize("cuts", [(0, 30), (0, 1, 2, 30), (0, 11, 19, 30), (7, 8, 29)])
@@ -728,8 +758,7 @@ def test_sampled_chunks_draw_what_a_generator_per_trial_draws(monkeypatch, cuts)
     for lo, hi in zip(cuts, cuts[1:]):
         fresh = [random.Random(trial_seed(seed, i)) for i in range(lo, hi)]
         erased = [tuple(sorted(rng.sample(range(n), e))) for rng in fresh]
-        assert list(metrics._sampled_subsets(n, e, seed, lo, hi)) == [
-            (sum(1 << j for j in x), x) for x in erased]
+        assert metrics._sampled_masks(n, e, seed, lo, hi) == [sum(1 << j for j in x) for x in erased]
         drawn.clear()
         metrics._sampled_chunk(cols, 1, easy_table(cols), seed, lo, hi)
         assert drawn == [random.Random(trial_seed(seed, i)).getrandbits(n) for i in range(lo, hi)]
