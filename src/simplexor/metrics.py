@@ -3,6 +3,10 @@
 Every sweep is deterministic: exhaustive enumerations have a fixed order
 and sampled runs derive one RNG seed per trial index from the master seed,
 so partitioning work across processes cannot change any verdict or count.
+Trial i of a sampled run seeds a Mersenne Twister with trial_seed(seed, i)
+and draws getrandbits(n), each node erased with probability 1/2, or the
+e-subset of CPython's random.Random.sample(range(n), e), whose algorithm
+``_sampled_masks`` restates over getrandbits.
 """
 
 from __future__ import annotations
@@ -152,28 +156,27 @@ def _merge_counts(parts, least: bool = False):
 
 
 def _sampled_masks(n, e, seed, lo, hi):
-    """The erasure bitmask drawn for each trial index in [lo, hi): every
-    sampled sweep and the simulation draw here.  Trial i reseeds one
-    Mersenne Twister with trial_seed(seed, i) and draws, with e None, each
-    node erased with probability 1/2, getrandbits(n); else the e-subset
+    """The erasure bitmask of each trial index in [lo, hi), for every sampled
+    sweep and the simulation: trial i reseeds one Mersenne Twister with
+    trial_seed(seed, i), then draws getrandbits(n) when e is None, each node
+    erased with probability 1/2, else the e-subset that
     random.Random.sample(range(n), e) picks.
 
-    CPython's sample is restated over getrandbits, so the masks stay those
-    of a fresh random.Random(trial_seed(seed, i)) per trial: a pool of the
-    unpicked indices with a swap into each vacancy when n is at most the
-    size of sample's set of picks, else rejection of picks already taken,
-    each draw below m taking getrandbits(m.bit_length()) until it falls
-    below m.  The generator is reseeded through the C-level seed, which for
-    an int does all random.Random.seed does but its type checks."""
+    The masks are those of a fresh random.Random(trial_seed(seed, i)) per
+    trial, bit for bit.  sample is restated over getrandbits as CPython
+    writes it: up to its set-size bound, a pool of the unpicked indices with
+    a swap into each vacancy; past it, rejection of picks already taken.  A
+    pick below m is getrandbits(m.bit_length()), drawn again until it falls
+    below m.  The C-level seed skips random.Random.seed's type checks and its
+    reset of gauss_next, which no draw here reads."""
     rng = random.Random()
     reseed = super(random.Random, rng).seed
     bits = rng.getrandbits
     if e is None:
         return [reseed(trial_seed(seed, i)) or bits(n) for i in range(lo, hi)]
     masks = []
-    width = n.bit_length()
-    pool = list(range(n))
     if n <= (21 if e <= 5 else 21 + 4 ** ceil(log(e * 3, 4))):
+        pool = list(range(n))
         for i in range(lo, hi):
             reseed(trial_seed(seed, i))
             mask = 0
@@ -186,6 +189,7 @@ def _sampled_masks(n, e, seed, lo, hi):
                 left[j] = left[m - 1]
             masks.append(mask)
     else:
+        width = n.bit_length()
         for i in range(lo, hi):
             reseed(trial_seed(seed, i))
             mask = 0

@@ -718,8 +718,10 @@ def test_trial_seed_is_stable_and_spread():
 
 
 def test_the_first_sampled_patterns_are_pinned():
-    """The draw itself, as plain ints: a change to CPython's Mersenne
-    Twister seeding, getrandbits or sample shows here first."""
+    """The draw itself, as plain ints taken before sample was restated: a
+    change to CPython's Mersenne Twister seeding or getrandbits shows here,
+    not only as a changed CLI digest; one to its sample shows in the
+    differential test below."""
     assert metrics._sampled_masks(um_block_code(2, 2).n, None, 7, 0, 5) == [
         0xAED8B, 0x14C95B, 0xD1A12B, 0x90BDFE, 0x3EF2AB]
     assert metrics._sampled_masks(um_block_code(3, 3).n, 11, 7, 0, 5) == [
