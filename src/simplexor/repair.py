@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
 from .gf2 import DimensionMismatch
@@ -279,23 +279,28 @@ def _circuits(cols: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
     equals another.
     """
     subsets = _independent_subsets(cols, size // 2)
-    # (head plus middle, the XOR its tail must have)
-    lefts = ((head, v) for v, heads in subsets.items() for head in heads)
-    if size % 2:
-        n = len(cols)
-        lefts = (
-            (head + (m,), v ^ cols[m]) for head, v in lefts for m in range(head[-1] + 1, n) if cols[m]
-        )
+    n = len(cols)
     out = []
-    for left, key in lefts:
-        tails = subsets.get(key)
-        if not tails:
-            continue
-        # tails whose first index lies past the left part's last
-        for tail in tails[bisect.bisect_left(tails, (left[-1] + 1,)) :]:
-            cand = left + tail
-            if size < 4 or full_rank_on_live([cols[i] for i in cand], 0, size - 1):
-                out.append(cand)
+    # plain loops, no generator: a MemoryError here must leave no suspended
+    # frame whose closing needs memory when the traceback is freed
+    for v, heads in subsets.items():
+        for head in heads:
+            for m in range(head[-1] + 1, n) if size % 2 else (-1,):
+                # the left part, the head plus any middle m, and the XOR its tail must have
+                if m < 0:
+                    left, key = head, v
+                elif cols[m]:
+                    left, key = head + (m,), v ^ cols[m]
+                else:
+                    continue
+                tails = subsets.get(key)
+                if not tails:
+                    continue
+                # tails whose first index lies past the left part's last
+                for tail in tails[bisect.bisect_left(tails, (left[-1] + 1,)) :]:
+                    cand = left + tail
+                    if size < 4 or full_rank_on_live([cols[i] for i in cand], 0, size - 1):
+                        out.append(cand)
     return tuple(sorted(out))
 
 
@@ -384,7 +389,8 @@ class _PackingSolver:
         _, first_adj = _compatibility(masks, full)
         perm = sorted(range(n), key=lambda v: (first_adj[v].bit_count(), v))
         self.masks = [masks[v] for v in perm]
-        holders, self.adj = _compatibility(self.masks, full)
+        self.holders, self.adj = _compatibility(self.masks, full)
+        holders = self.holders
         nodes = sorted(holders)
         self.cover_verts = []
         left = full
@@ -393,14 +399,18 @@ class _PackingSolver:
             self.cover_verts.append(verts)
             left &= ~verts
 
-    def clique_of(self, want: int) -> int:
+    def clique_of(self, want: int, tick: Callable[[], object] | None = None) -> int:
         """The vertex bitset of a clique of want >= 1 vertices, or 0 if
         there is none.  A branch ends once a bound says it cannot reach
-        want, and the first vertex that completes want ends the search."""
+        want, and the first vertex that completes want ends the search.
+        tick, if given, is called once per search node, and whatever it
+        raises ends the search."""
         adj = self.adj
         cover_verts = self.cover_verts
 
         def expand(p: int, size: int, chosen: int) -> int:
+            if tick is not None:
+                tick()
             hits = 0
             tightest = 0
             tight_count = len(adj) + 1
@@ -462,21 +472,107 @@ class _PackingSolver:
 
         return expand(self.full, 0, 0)
 
+    def cover_steps(self, exact: int, other: int, want: int) -> Generator[None, None, bool]:
+        """Is there a packing of want groups?  Asked as an exact cover of a
+        projection window, the node classes exact and other of
+        ``_projection_bound``: yields once per search node and returns the
+        verdict.
 
-def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | None:
-    """Upper bound on disjoint repair groups from row-interval projections.
+        Nodes of exact weigh 2 half-units, nodes of other 1, and every group
+        weighs at least 2, so want disjoint groups leave at most slack =
+        weight(exact | other) - 2 want of the window's weight unpaired: the
+        weight of each chosen group above 2 plus that of each node no chosen
+        group covers.  As in Knuth's dancing links, the search takes the
+        undecided node with the fewest live groups, those that miss every
+        decided node and whose excess weight the slack still pays, and
+        either covers it with one of them or leaves it uncovered, until the
+        slack is spent (no packing) or pays for leaving every undecided node
+        uncovered (a packing).
+        """
+        masks = self.masks
+        adj = self.adj
+        holders = self.holders
+        excess = [2 * (m & exact).bit_count() + (m & other).bit_count() - 2 for m in masks]
+        weight = {node: 1 + (exact >> node & 1) for node in mask_indices(exact | other)}
+        total = sum(weight.values())
+        if total < 2 * want:
+            return False
+        # within[s]: the groups of excess at most s
+        within = [0] * (total - 2 * want + 1)
+        for v, e in enumerate(excess):
+            if e < len(within):
+                within[e] |= 1 << v
+        for s in range(1, len(within)):
+            within[s] |= within[s - 1]
+
+        def search(live: int, undecided: list[int], rest: int, slack: int) -> Generator[None, None, bool]:
+            yield
+            live &= within[slack]
+            # nodes with no live group are left uncovered, the others kept
+            open_nodes = []
+            node = verts = 0
+            fewest = len(masks) + 1
+            for x in undecided:
+                xv = holders.get(x, 0) & live
+                if xv:
+                    open_nodes.append(x)
+                    c = xv.bit_count()
+                    if c < fewest:
+                        node, verts, fewest = x, xv, c
+                else:
+                    rest -= weight[x]
+                    slack -= weight[x]
+            if slack < 0:
+                return False
+            if rest <= slack:
+                return True
+            sub = verts
+            while sub:
+                b = sub & -sub
+                sub ^= b
+                v = b.bit_length() - 1
+                if excess[v] <= slack:
+                    m = masks[v]
+                    left = [x for x in open_nodes if not m >> x & 1]
+                    if (yield from search(live & adj[v], left, rest - excess[v] - 2, slack - excess[v])):
+                        return True
+            if weight[node] > slack:
+                return False
+            open_nodes.remove(node)
+            return (yield from search(live & ~verts, open_nodes, rest - weight[node], slack - weight[node]))
+
+        return (yield from search(self.full, list(weight), total, total - 2 * want))
+
+
+class _Refuted(Exception):
+    """The cover search proved that no packing of the asked size exists."""
+
+
+def _refuter(cover: Generator[None, None, bool]) -> Iterator[None]:
+    """The cover search's steps, ending in _Refuted if it finds no packing;
+    once it finds one, steps that do nothing."""
+    if not (yield from cover):
+        raise _Refuted
+    while True:
+        yield
+
+
+def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> tuple[int, int, int] | None:
+    """Upper bound on disjoint repair groups from row-interval projections,
+    with the best window's two node classes: (bound, exact, other).
 
     For a row interval where the target column is nonzero, every group
     must contain either one node whose projection equals the target's, or
     at least two nodes with nonzero projection (their XOR there must hit a
-    nonzero value).  Weighting those node classes 1 and 1/2 is a valid
-    fractional cover, so the packing is at most n1 + n_other/2; minimized
-    over all intervals.
+    nonzero value).  Weighting those node classes, exact and other (as
+    node bitmasks), 1 and 1/2 is a valid fractional cover, so the packing is
+    at most |exact| + |other|/2; minimized over all intervals, the first
+    interval to reach the minimum giving the classes.
     """
     tcol = cols[target]
     if tcol == 0:
         return None
-    best: int | None = None
+    best: tuple[int, int] | None = None
     for a in range(n_rows):
         for b in range(a + 1, n_rows + 1):
             window = ((1 << b) - 1) >> a << a
@@ -485,18 +581,28 @@ def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> int | No
                 continue
             exact = 0
             other = 0
-            for j, c in enumerate(cols):
-                if j == target:
-                    continue
+            for c in cols:
                 cp = c & window
                 if cp == tproj:
                     exact += 1
                 elif cp:
                     other += 1
-            bound = exact + other // 2
-            if best is None or bound < best:
-                best = bound
-    return best
+            # exact counted the target itself
+            bound = exact - 1 + other // 2
+            if best is None or bound < best[0]:
+                best = (bound, window)
+    if best is None:
+        return None
+    bound, window = best
+    tproj = tcol & window
+    exact = other = 0
+    for j, c in enumerate(cols):
+        cp = c & window
+        if cp == tproj:
+            exact |= 1 << j
+        elif cp:
+            other |= 1 << j
+    return bound, exact & ~(1 << target), other
 
 
 def _first_fit(masks: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -514,22 +620,35 @@ def _first_fit(masks: Iterable[int]) -> tuple[list[int], list[int]]:
     return packing, rest
 
 
-def _max_packing(groups: Sequence[int], upper_hint: int | None = None) -> list[int]:
+def _max_packing(groups: Sequence[int], window: tuple[int, int, int] | None = None) -> list[int]:
     """A largest pairwise-disjoint subcollection of the group bitmasks, in
     mask_indices order.
 
     Asks the solver for a packing of w groups for each w from the best
-    upper bound (the cover size, or upper_hint if smaller) down to one more
-    than the first-fit size.  As w never exceeds the maximum, the first w
-    that has one is the maximum; if none has, the first-fit packing is one.
+    upper bound (the cover size, or the window's bound, ``_projection_bound``,
+    if smaller) down to one more than the first-fit size.  As w never
+    exceeds the maximum, the first w that has one is the maximum; if none
+    has, the first-fit packing is one.
+
+    With a window, each w runs the clique search and the window's cover
+    search one search node each in turn.  The clique search finds packings
+    fast but may take long to prove there is none, and the cover search the
+    other way round.  A packing is always the clique search's: once the
+    cover search finds one, the clique search runs on alone.
     """
     packing, _ = _first_fit(groups)
     solver = _PackingSolver(groups)
     ub = len(solver.cover_verts)
-    if upper_hint is not None and upper_hint < ub:
-        ub = upper_hint
+    if window is not None and window[0] < ub:
+        ub = window[0]
     for want in range(ub, len(packing), -1):
-        found = solver.clique_of(want)
+        tick = None
+        if window is not None:
+            tick = _refuter(solver.cover_steps(window[1], window[2], want)).__next__
+        try:
+            found = solver.clique_of(want, tick)
+        except _Refuted:
+            continue
         if found:
             packing = [solver.masks[v] for v in mask_indices(found)]
             break

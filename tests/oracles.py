@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from simplexor.codes import LinearCode, simplex_columns, simplex_parity_rows
 from simplexor.gf2 import BitMatrix, DimensionMismatch, rank, reduce_rows, transpose
+from simplexor import repair
 from simplexor.metrics import trial_seed
 from simplexor.storage import NotCorrectable, Shard, ShardManifest
 
@@ -293,3 +294,24 @@ def parallel_tally(table: Sequence[Sequence[int]], patterns: Iterable[tuple[int,
 def parallel_tally_by_pattern(table: Sequence[Sequence[int]], n: int, e: int):
     """parallel_tally of every e-subset of range(n), in lex order."""
     return parallel_tally(table, subsets(n, e))
+
+
+def max_disjoint_groups_by_clique(code: LinearCode, target: int, cap: int):
+    """max_disjoint_groups with the clique search alone: from the least
+    upper bound, the cover's size or the projection window's bound, down to
+    one more than the first-fit size, the first want that clique_of meets,
+    with no cover search run beside it.  Returns (count, witness)."""
+    groups = repair._group_table(code.cols, cap)[target]
+    packing, _ = repair._first_fit(groups)
+    solver = repair._PackingSolver(groups)
+    ub = len(solver.cover_verts)
+    window = repair._projection_bound(code.cols, target, code.k)
+    if window is not None:
+        ub = min(ub, window[0])
+    for want in range(ub, len(packing), -1):
+        found = solver.clique_of(want)
+        if found:
+            packing = [solver.masks[v] for v in repair.mask_indices(found)]
+            break
+    packing.sort(key=repair.mask_indices)
+    return len(packing), [repair.RepairGroup(target, frozenset(repair.mask_indices(g))) for g in packing]

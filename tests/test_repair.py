@@ -10,6 +10,7 @@ from oracles import (
     easy_closure_scalar,
     easy_steps_by_value,
     is_correctable_via_parity,
+    max_disjoint_groups_by_clique,
     simplex_parity_check,
 )
 from simplexor.codes import (
@@ -531,10 +532,10 @@ def test_projection_bound_is_a_valid_upper_bound():
     for code in (simplex_code(3), c2_code(4), um_block_code(2, 2)):
         cols = code.cols
         for target in range(0, code.n, 2):
-            bound = _projection_bound(cols, target, code.k)
+            window = _projection_bound(cols, target, code.k)
             count, _ = max_disjoint_groups(code, target, 4)
-            if bound is not None:
-                assert count <= bound
+            if window is not None:
+                assert count <= window[0]
 
 
 @pytest.mark.parametrize(
@@ -556,6 +557,87 @@ def test_projection_hint_never_changes_the_packing(code):
 
 def _columns_code(cols, k):
     return _custom_code([[(c >> i) & 1 for c in cols] for i in range(k)])
+
+
+def _cover_verdict(solver, window, want):
+    """The cover search's verdict on want groups and its search node count."""
+    steps = solver.cover_steps(window[1], window[2], want)
+    count = 0
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value, count
+        count += 1
+
+
+@st.composite
+def cover_generators(draw):
+    """A generator of 1 to 6 rows and at most 14 columns with a zero and a
+    repeated column; its rows need not be independent."""
+    k = draw(st.integers(1, 6))
+    base = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=11))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=2))
+    return _columns_code(draw(st.permutations(base + copies + [0])), k)
+
+
+@given(cover_generators(), st.integers(1, 4))
+def test_cover_search_decides_packings_as_brute_force_does(code, cap):
+    """Under its target's window every group weighs at least 2 half-units,
+    the cover search says a packing of want groups exists exactly when one
+    does, for each want up to one past the window's bound, and the packer
+    returns what the clique search alone returns."""
+    cols = code.cols
+    for target in range(code.n):
+        if not cols[target]:
+            continue
+        groups = _group_table(cols, cap)[target]
+        bound, exact, other = _projection_bound(cols, target, code.k)
+        for g in groups:
+            assert 2 * (g & exact).bit_count() + (g & other).bit_count() >= 2
+        best = max(len(f) for f in _disjoint_families([mask_indices(g) for g in groups]))
+        solver = _PackingSolver(groups)
+        for want in range(1, bound + 2):
+            assert _cover_verdict(solver, (bound, exact, other), want)[0] == (want <= best)
+        assert max_disjoint_groups(code, target, cap) == max_disjoint_groups_by_clique(code, target, cap)
+
+
+@pytest.mark.parametrize("s, budget", [(4, 500), (3, 900)])
+def test_census_refutations_at_cap_4_come_from_the_cover_search(s, budget):
+    """Node 28, the first of um:3:s time block 2, has projection bound 11
+    and packs 10 groups at cap 4.  The cover search proves that 11 do not
+    fit within budget search nodes, where the clique search alone takes
+    over 20,000; run in step, it ends the clique search there."""
+    code = um_block_code(3, s)
+    node = um_node_index(3, 2, 0, 0)
+    groups = _group_table(code.cols, 4)[node]
+    window = _projection_bound(code.cols, node, code.k)
+    assert window[0] == 11
+    solver = _PackingSolver(groups)
+    verdict, steps = _cover_verdict(solver, window, 11)
+    assert not verdict and steps <= budget
+    ticks = []
+    refuter = repair._refuter(solver.cover_steps(window[1], window[2], 11))
+
+    def tick():
+        ticks.append(None)
+        next(refuter)
+
+    with pytest.raises(repair._Refuted):
+        solver.clique_of(11, tick)
+    assert len(ticks) == steps + 1
+    assert max_disjoint_groups(code, node, 4)[0] == 10
+
+
+def test_census_witnesses_are_pinned():
+    """The witnesses of the refuted census nodes and of um:3:3 node 14,
+    where the clique search finds 11 groups, as the clique search alone
+    returned them."""
+    digest = hashlib.sha256()
+    for s, node, cap in ((4, 28, 4), (3, 28, 4), (3, 14, 4), (3, 14, 5)):
+        count, witness = max_disjoint_groups(um_block_code(3, s), node, cap)
+        digest.update(repr((s, node, cap, count, [tuple(sorted(g.helpers)) for g in witness])).encode())
+    assert digest.hexdigest() == "e44b77ab429e10d12690d97402ae8c960c89f40a28018ed146ee563ce1d28a6c"
 
 
 @st.composite
