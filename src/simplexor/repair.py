@@ -526,11 +526,12 @@ class _PackingSolver:
                 return False
             if rest <= slack:
                 return True
+            # the groups disjoint from most others first, as the relabeled
+            # vertices rise in compatibility degree: they find packings sooner
             sub = verts
             while sub:
-                b = sub & -sub
-                sub ^= b
-                v = b.bit_length() - 1
+                v = sub.bit_length() - 1
+                sub ^= 1 << v
                 if excess[v] <= slack:
                     m = masks[v]
                     left = [x for x in open_nodes if not m >> x & 1]
