@@ -253,13 +253,6 @@ def _suffix_lanes(n: int, cap: int, low: int = 0):
         yield layers
 
 
-def _subset_lanes(n: int, cap: int) -> list[list[int]]:
-    """For each e <= cap, the node lanes of the e-subsets of range(n)."""
-    for layers in _suffix_lanes(n, cap):
-        pass
-    return layers
-
-
 def _lane_pass(cols, k, pairs, lanes, count, mask_of):
     """Easy repair of count patterns, one lane each: one closure over the
     node lanes, then the one rank check of each stuck lane p, on its mask
@@ -287,30 +280,42 @@ def _lane_pass(cols, k, pairs, lanes, count, mask_of):
 
 def _easy_layers(cols, k, pairs, cap):
     """Easy repair of every pattern of at most cap erasures: per erasure
-    count e, the tally of the e-subsets in lex order, one lane each.
+    count e, the tally of the e-subsets in lex order, one lane each.  As in
+    ``_parallel_layer``, one walk of the suffix lanes gives one lane pass
+    per least erased node a, from n - 1 down, and per e.
 
     A generator short of rank k makes no pattern correctable.  Otherwise a
     lane that clears is correctable, and a subset of a correctable pattern
-    is correctable.  So each stuck lane that fails its rank check and
-    covers none of the patterns found so far is a new minimal uncorrectable
-    pattern, and every lane of a higher layer that covers one is dropped
-    before the closure, uncorrectable without a check."""
+    is correctable.  A proper subset of a pattern came in an earlier pass:
+    it has fewer erasures and its least node at a or above.  So each stuck
+    lane that fails its rank check and covers none of the patterns found
+    so far is a new minimal uncorrectable pattern, and each later lane that
+    covers one is dropped unchecked.  Once a pass has no correctable lane,
+    each pattern of the node's later passes holds one of that pass's, and
+    those passes are skipped."""
     n = len(cols)
+    out = [[comb(n, e), 0, 0, None, None] for e in range(cap + 1)]
     if not full_rank_on_live(cols, 0, k):
-        return [(comb(n, e), 0, 0, None, None) for e in range(cap + 1)]
+        return out
+    out[0][1:3] = 1, 1
     minimal: list[tuple[int, ...]] = []
-    out = []
-    for e, lanes in enumerate(_subset_lanes(n, cap)):
-        dead = 0
-        for u in minimal:
-            dead |= reduce(and_, [lanes[j] for j in u])
-        if dead:
-            lanes = [x & ~dead for x in lanes]
-        total = comb(n, e)
-        tally, bad = _lane_pass(cols, k, pairs, lanes, total - dead.bit_count(),
-                                partial(_unrank, n, e))
-        minimal += map(mask_indices, bad)
-        out.append((total, *tally))
+    for a, layers in zip(range(n - 1, -1, -1), _suffix_lanes(n - 1, cap - 1) if cap else ()):
+        for e in range(1, min(cap, n - a) + 1):
+            width = comb(n - a - 1, e - 1)
+            lanes = [0] * a + [(1 << width) - 1] + layers[e - 1]
+            dead = reduce(or_, [reduce(and_, [lanes[j] for j in u]) for u in minimal], 0)
+            if dead:
+                lanes = [x & ~dead for x in lanes]
+            (correctable, repaired, first, least), bad = _lane_pass(
+                cols, k, pairs, lanes, width - dead.bit_count(),
+                lambda p: 1 << a | _unrank(n - a - 1, e - 1, p) << a + 1)
+            minimal += map(mask_indices, bad)
+            tally = out[e]
+            tally[1:3] = tally[1] + correctable, tally[2] + repaired
+            if first is not None:  # a descends, so the last first found is lex-first
+                tally[3:] = first, min(least, tally[4] or least)
+            if not correctable:
+                break
     return out
 
 
@@ -408,10 +413,11 @@ def verify_easy_repair_property(
 ) -> VerifyReport:
     """Sweep erasure patterns; every correctable one must easy-repair.
     Each pattern is one lane of the lane closure.  An exhaustive sweep
-    checks one layer of e-subsets at a time (``_easy_layers``), in the
-    calling process, as each layer drops the lanes that cover a minimal
-    uncorrectable pattern of the layers below; it reports the first failure
-    in (count, lex) order when capped, else the least mask."""
+    runs in the calling process, one lane pass per least erased node and
+    erasure count (``_easy_layers``), as each pass drops the lanes that
+    cover a minimal uncorrectable pattern of the passes before it; it
+    reports the first failure in (count, lex) order when capped, else the
+    least mask."""
     cols = code.cols
     n, k = code.n, code.k
     if isinstance(mode, Exhaustive):

@@ -558,7 +558,8 @@ def _refuter(cover: Generator[None, None, bool]) -> Iterator[None]:
         yield
 
 
-def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> tuple[int, int, int] | None:
+@lru_cache(maxsize=128)
+def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[int, int, int] | None:
     """Upper bound on disjoint repair groups from row-interval projections,
     with the best window's two node classes: (bound, exact, other).
 
@@ -568,42 +569,29 @@ def _projection_bound(cols: Sequence[int], target: int, n_rows: int) -> tuple[in
     nonzero value).  Weighting those node classes, exact and other (as
     node bitmasks), 1 and 1/2 is a valid fractional cover, so the packing is
     at most |exact| + |other|/2; minimized over all intervals, the first
-    interval to reach the minimum giving the classes.
+    interval to reach the minimum giving the classes.  Cached, as every cap
+    of a target has the same windows.
     """
     tcol = cols[target]
-    if tcol == 0:
-        return None
-    best: tuple[int, int] | None = None
+    best: tuple[int, int, int] | None = None
     for a in range(n_rows):
         for b in range(a + 1, n_rows + 1):
             window = ((1 << b) - 1) >> a << a
             tproj = tcol & window
             if not tproj:
                 continue
-            exact = 0
-            other = 0
-            for c in cols:
+            exact = other = 0
+            for j, c in enumerate(cols):
                 cp = c & window
                 if cp == tproj:
-                    exact += 1
+                    exact |= 1 << j
                 elif cp:
-                    other += 1
-            # exact counted the target itself
-            bound = exact - 1 + other // 2
+                    other |= 1 << j
+            # exact holds the target itself
+            bound = exact.bit_count() - 1 + other.bit_count() // 2
             if best is None or bound < best[0]:
-                best = (bound, window)
-    if best is None:
-        return None
-    bound, window = best
-    tproj = tcol & window
-    exact = other = 0
-    for j, c in enumerate(cols):
-        cp = c & window
-        if cp == tproj:
-            exact |= 1 << j
-        elif cp:
-            other |= 1 << j
-    return bound, exact & ~(1 << target), other
+                best = bound, exact & ~(1 << target), other
+    return best
 
 
 def _first_fit(masks: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -333,14 +333,10 @@ def test_lane_closure_matches_the_scalar_closure(row_by_row, code, data):
 
 def test_subset_lanes_and_unranking_follow_lex_order():
     for n in range(11):
-        layers = metrics._subset_lanes(n, n)
-        for e, lanes in enumerate(layers):
+        for e in range(n + 1):
             subs = list(combinations(range(n), e))
-            assert lanes == [sum((j in sub) << p for p, sub in enumerate(subs)) for j in range(n)]
             assert [metrics._unrank(n, e, p) for p in range(len(subs))] == [
                 sum(1 << j for j in sub) for sub in subs]
-        for cap in range(n + 1):
-            assert metrics._subset_lanes(n, cap) == layers[: cap + 1]
         for a, suffix in zip(range(n, -1, -1), metrics._suffix_lanes(n, n)):
             for e in range(n + 1):
                 subs = list(combinations(range(a, n), e))
@@ -383,6 +379,67 @@ def test_exhaustive_lane_passes_test_at_most_the_patterns_of_one_least_node(monk
     assert verify_parallel_capacity(code, 5, e, Exhaustive()).verdict
     assert len(tested) == n and sum(tested) == comb(n, e)
     assert max(tested) == comb(n - 1, e - 1)
+
+
+def test_easy_lane_passes_test_at_most_the_patterns_of_one_least_node(monkeypatch):
+    """An exhaustive easy sweep of um:2:2 up to 8 erasures runs one lane
+    pass per least erased node a and erasure count e <= min(8, n - a),
+    164 closures on 24 nodes, none wider than C(n - 1, 7) lanes, where the
+    whole 8-subset layer is C(n, 8) = 735,471.  The rank checks are those
+    of a whole-layer sweep: the generator's, then one per stuck lane that
+    covers no uncorrectable pattern found before, 15 in all."""
+    code = um_block_code(2, 2)
+    n, cap = code.n, 8
+    widths, closure = [], metrics.easy_closure_for_mask
+    ranks, rank_on_live = [], metrics.full_rank_on_live
+    monkeypatch.setattr(metrics, "easy_closure_for_mask",
+                        lambda pairs, lanes: widths.append(max(x.bit_length() for x in lanes))
+                        or closure(pairs, lanes))
+    monkeypatch.setattr(metrics, "full_rank_on_live",
+                        lambda *args: ranks.append(args[1]) or rank_on_live(*args))
+    report = verify_easy_repair_property(code, Exhaustive(max_erasures=cap))
+    assert report.verdict and report.patterns_examined == sum(comb(n, e) for e in range(cap + 1))
+    assert len(widths) == sum(min(cap, n - a) for a in range(n)) == 164
+    assert max(widths) == comb(n - 1, cap - 1) == 245_157
+    assert len(ranks) == 16
+
+
+@st.composite
+def failing_generators(draw):
+    """The columns and row count of a generator of 3 to 5 rows and at most
+    13 columns, with a zero and a repeated column, that fails easy repair:
+    it holds the unit columns, and once a column v of weight 3 or more that
+    no other column or pair of columns XORs to, so erasing v alone is
+    correctable but stuck."""
+    k = draw(st.integers(3, 5))
+    v = draw(st.sampled_from([x for x in range(1 << k) if x.bit_count() >= 3]))
+    cols = [1 << i for i in range(k)]
+    for w in draw(st.lists(st.integers(0, (1 << k) - 1), max_size=4)):
+        if w != v and w ^ v not in cols:
+            cols.append(w)
+    cols += draw(st.lists(st.sampled_from(cols), min_size=1, max_size=2)) + [0, v]
+    return tuple(draw(st.permutations(cols))), k
+
+
+@given(failing_generators())
+def test_easy_layers_match_brute_force_layer_by_layer(generator):
+    """Each erasure count's tally from the exhaustive easy sweep, at every
+    cap from 0 to n: the patterns examined, correctable and repaired, and
+    the lex-first and least failing masks, against a rank check and a
+    scalar closure of every e-subset."""
+    cols, k = generator
+    n = len(cols)
+    pairs = easy_table(cols)
+    expected = []
+    for e in range(n + 1):
+        masks = [sum(1 << j for j in sub) for sub in combinations(range(n), e)]
+        correctable = [m for m in masks if full_rank_on_live(cols, m, k)]
+        failing = [m for m in correctable if not easy_closure_scalar(pairs, m)]
+        expected.append((len(masks), len(correctable), len(correctable) - len(failing),
+                         failing[0] if failing else None, min(failing, default=None)))
+    assert expected[1][3] is not None
+    for cap in range(n + 1):
+        assert [tuple(t) for t in metrics._easy_layers(cols, k, pairs, cap)] == expected[: cap + 1]
 
 
 @pytest.mark.parametrize("code", [simplex_code(5), um_block_code(3, 3)], ids=lambda c: c.code_id)
