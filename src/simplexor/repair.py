@@ -569,11 +569,10 @@ def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[
     nonzero value).  Weighting those node classes, exact and other (as
     node bitmasks), 1 and 1/2 is a valid fractional cover, so the packing is
     at most |exact| + |other|/2; minimized over all intervals, the first
-    interval to reach the minimum giving the classes.  Cached, as every cap
-    of a target has the same windows.
+    interval to reach the minimum giving the classes.  Cached per target.
     """
     tcol = cols[target]
-    best: tuple[int, int, int] | None = None
+    best: tuple[int, int] | None = None
     for a in range(n_rows):
         for b in range(a + 1, n_rows + 1):
             window = ((1 << b) - 1) >> a << a
@@ -581,17 +580,28 @@ def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[
             if not tproj:
                 continue
             exact = other = 0
-            for j, c in enumerate(cols):
+            for c in cols:
                 cp = c & window
                 if cp == tproj:
-                    exact |= 1 << j
+                    exact += 1
                 elif cp:
-                    other |= 1 << j
-            # exact holds the target itself
-            bound = exact.bit_count() - 1 + other.bit_count() // 2
+                    other += 1
+            # exact counted the target itself
+            bound = exact - 1 + other // 2
             if best is None or bound < best[0]:
-                best = bound, exact & ~(1 << target), other
-    return best
+                best = (bound, window)
+    if best is None:
+        return None
+    bound, window = best
+    tproj = tcol & window
+    exact = other = 0
+    for j, c in enumerate(cols):
+        cp = c & window
+        if cp == tproj:
+            exact |= 1 << j
+        elif cp:
+            other |= 1 << j
+    return bound, exact & ~(1 << target), other
 
 
 def _first_fit(masks: Iterable[int]) -> tuple[list[int], list[int]]:
