@@ -387,7 +387,7 @@ def test_easy_lane_passes_test_at_most_the_patterns_of_one_least_node(monkeypatc
     164 closures on 24 nodes, none wider than C(n - 1, 7) lanes, where the
     whole 8-subset layer is C(n, 8) = 735,471.  The rank checks are those
     of a whole-layer sweep: the generator's, then one per stuck lane that
-    covers no uncorrectable pattern found before, 15 in all."""
+    covers no uncorrectable pattern found before, 16 in all."""
     code = um_block_code(2, 2)
     n, cap = code.n, 8
     widths, closure = [], metrics.easy_closure_for_mask
@@ -409,8 +409,8 @@ def failing_generators(draw):
     """The columns and row count of a generator of 3 to 5 rows and at most
     13 columns, with a zero and a repeated column, that fails easy repair:
     it holds the unit columns, and once a column v of weight 3 or more that
-    no other column or pair of columns XORs to, so erasing v alone is
-    correctable but stuck."""
+    no other column copies and no two other columns XOR to, so erasing v
+    alone is correctable but stuck."""
     k = draw(st.integers(3, 5))
     v = draw(st.sampled_from([x for x in range(1 << k) if x.bit_count() >= 3]))
     cols = [1 << i for i in range(k)]
