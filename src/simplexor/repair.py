@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codes import EASY_REPAIR_FAMILIES, LinearCode
 from .gf2 import DimensionMismatch
@@ -368,8 +368,9 @@ def _compatibility(masks: Sequence[int], full: int) -> tuple[dict[int, int], lis
 
 
 class _PackingSolver:
-    """Is there a packing of w disjoint groups?  Asked as: is there a clique
-    of w vertices in the compatibility graph?
+    """Is there a packing of w disjoint groups?  Asked two ways: as an exact
+    cover of a projection window (``covers``), and as a clique of w vertices
+    in the compatibility graph (``clique_of``), which also names the groups.
 
     Vertices are nonempty groups, edges join disjoint ones.  One incidence
     map, node -> bitset of the groups holding that node, gives both the
@@ -399,18 +400,14 @@ class _PackingSolver:
             self.cover_verts.append(verts)
             left &= ~verts
 
-    def clique_of(self, want: int, tick: Callable[[], object] | None = None) -> int:
+    def clique_of(self, want: int) -> int:
         """The vertex bitset of a clique of want >= 1 vertices, or 0 if
         there is none.  A branch ends once a bound says it cannot reach
-        want, and the first vertex that completes want ends the search.
-        tick, if given, is called once per search node, and whatever it
-        raises ends the search."""
+        want, and the first vertex that completes want ends the search."""
         adj = self.adj
         cover_verts = self.cover_verts
 
         def expand(p: int, size: int, chosen: int) -> int:
-            if tick is not None:
-                tick()
             hits = 0
             tightest = 0
             tight_count = len(adj) + 1
@@ -472,11 +469,10 @@ class _PackingSolver:
 
         return expand(self.full, 0, 0)
 
-    def cover_steps(self, exact: int, other: int, want: int) -> Generator[None, None, bool]:
+    def covers(self, exact: int, other: int, want: int) -> bool:
         """Is there a packing of want groups?  Asked as an exact cover of a
         projection window, the node classes exact and other of
-        ``_projection_bound``: yields once per search node and returns the
-        verdict.
+        ``_projection_bound``.
 
         Nodes of exact weigh 2 half-units, nodes of other 1, and every group
         weighs at least 2, so want disjoint groups leave at most slack =
@@ -505,8 +501,7 @@ class _PackingSolver:
         for s in range(1, len(within)):
             within[s] |= within[s - 1]
 
-        def search(live: int, undecided: list[int], rest: int, slack: int) -> Generator[None, None, bool]:
-            yield
+        def search(live: int, undecided: list[int], rest: int, slack: int) -> bool:
             live &= within[slack]
             # nodes with no live group are left uncovered, the others kept
             open_nodes = []
@@ -535,49 +530,39 @@ class _PackingSolver:
                 if excess[v] <= slack:
                     m = masks[v]
                     left = [x for x in open_nodes if not m >> x & 1]
-                    if (yield from search(live & adj[v], left, rest - excess[v] - 2, slack - excess[v])):
+                    if search(live & adj[v], left, rest - excess[v] - 2, slack - excess[v]):
                         return True
             if weight[node] > slack:
                 return False
             open_nodes.remove(node)
-            return (yield from search(live & ~verts, open_nodes, rest - weight[node], slack - weight[node]))
+            return search(live & ~verts, open_nodes, rest - weight[node], slack - weight[node])
 
-        return (yield from search(self.full, list(weight), total, total - 2 * want))
-
-
-class _Refuted(Exception):
-    """The cover search proved that no packing of the asked size exists."""
-
-
-def _refuter(cover: Generator[None, None, bool]) -> Iterator[None]:
-    """The cover search's steps, ending in _Refuted if it finds no packing;
-    once it finds one, steps that do nothing."""
-    if not (yield from cover):
-        raise _Refuted
-    while True:
-        yield
+        return search(self.full, list(weight), total, total - 2 * want)
 
 
 @lru_cache(maxsize=128)
-def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[int, int, int] | None:
+def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[int, int, int]:
     """Upper bound on disjoint repair groups from row-interval projections,
     with the best window's two node classes: (bound, exact, other).
 
     For a row interval where the target column is nonzero, every group
     must contain either one node whose projection equals the target's, or
     at least two nodes with nonzero projection (their XOR there must hit a
-    nonzero value).  Weighting those node classes, exact and other (as
-    node bitmasks), 1 and 1/2 is a valid fractional cover, so the packing is
-    at most |exact| + |other|/2; minimized over all intervals, the first
-    interval to reach the minimum giving the classes.  Cached per target.
+    nonzero value).  A zero target's window is every row: a group is then
+    another zero column or at least two nonzero ones.  Weighting those node
+    classes, exact and other (as node bitmasks), 1 and 1/2 is a valid
+    fractional cover, so the packing is at most |exact| + |other|/2;
+    minimized over all intervals, the first interval to reach the minimum
+    giving the classes.  Cached per target.
     """
     tcol = cols[target]
-    best: tuple[int, int] | None = None
+    # the whole row range always counts, and every bound lies below len(cols)
+    best = (len(cols), 0)
     for a in range(n_rows):
         for b in range(a + 1, n_rows + 1):
             window = ((1 << b) - 1) >> a << a
             tproj = tcol & window
-            if not tproj:
+            if not tproj and b - a < n_rows:
                 continue
             exact = other = 0
             for c in cols:
@@ -588,10 +573,8 @@ def _projection_bound(cols: tuple[int, ...], target: int, n_rows: int) -> tuple[
                     other += 1
             # exact counted the target itself
             bound = exact - 1 + other // 2
-            if best is None or bound < best[0]:
+            if bound < best[0]:
                 best = (bound, window)
-    if best is None:
-        return None
     bound, window = best
     tproj = tcol & window
     exact = other = 0
@@ -629,11 +612,10 @@ def _max_packing(groups: Sequence[int], window: tuple[int, int, int] | None = No
     exceeds the maximum, the first w that has one is the maximum; if none
     has, the first-fit packing is one.
 
-    With a window, each w runs the clique search and the window's cover
-    search one search node each in turn.  The clique search finds packings
-    fast but may take long to prove there is none, and the cover search the
-    other way round.  A packing is always the clique search's: once the
-    cover search finds one, the clique search runs on alone.
+    The window's cover search decides each w, as it proves fast that no
+    packing exists, and the clique search, which finds packings fast,
+    names the groups once, at the first w that fits.  With no window the
+    clique search decides alone.
     """
     packing, _ = _first_fit(groups)
     solver = _PackingSolver(groups)
@@ -641,13 +623,9 @@ def _max_packing(groups: Sequence[int], window: tuple[int, int, int] | None = No
     if window is not None and window[0] < ub:
         ub = window[0]
     for want in range(ub, len(packing), -1):
-        tick = None
-        if window is not None:
-            tick = _refuter(solver.cover_steps(window[1], window[2], want)).__next__
-        try:
-            found = solver.clique_of(want, tick)
-        except _Refuted:
+        if window is not None and not solver.covers(window[1], window[2], want):
             continue
+        found = solver.clique_of(want)
         if found:
             packing = [solver.masks[v] for v in mask_indices(found)]
             break

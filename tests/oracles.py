@@ -300,14 +300,11 @@ def max_disjoint_groups_by_clique(code: LinearCode, target: int, cap: int):
     """max_disjoint_groups with the clique search alone: from the least
     upper bound, the cover's size or the projection window's bound, down to
     one more than the first-fit size, the first want that clique_of meets,
-    with no cover search run beside it.  Returns (count, witness)."""
+    with no cover search deciding any want.  Returns (count, witness)."""
     groups = repair._group_table(code.cols, cap)[target]
     packing, _ = repair._first_fit(groups)
     solver = repair._PackingSolver(groups)
-    ub = len(solver.cover_verts)
-    window = repair._projection_bound(code.cols, target, code.k)
-    if window is not None:
-        ub = min(ub, window[0])
+    ub = min(len(solver.cover_verts), repair._projection_bound(code.cols, target, code.k)[0])
     for want in range(ub, len(packing), -1):
         found = solver.clique_of(want)
         if found:

@@ -559,18 +559,6 @@ def _columns_code(cols, k):
     return _custom_code([[(c >> i) & 1 for c in cols] for i in range(k)])
 
 
-def _cover_verdict(solver, window, want):
-    """The cover search's verdict on want groups and its search node count."""
-    steps = solver.cover_steps(window[1], window[2], want)
-    count = 0
-    while True:
-        try:
-            next(steps)
-        except StopIteration as stop:
-            return stop.value, count
-        count += 1
-
-
 @st.composite
 def cover_generators(draw):
     """A generator of 1 to 6 rows and at most 14 columns with a zero and a
@@ -582,15 +570,16 @@ def cover_generators(draw):
 
 
 @given(cover_generators(), st.integers(1, 4))
+# target 3 packs 2 groups only by leaving a node that has live groups uncovered
+@example(_columns_code((46, 26, 44, 54, 18, 16, 52), 6), 4)
 def test_cover_search_decides_packings_as_brute_force_does(code, cap):
-    """Under its target's window every group weighs at least 2 half-units,
-    the cover search says a packing of want groups exists exactly when one
-    does, for each want up to one past the window's bound, and the packer
-    returns what the clique search alone returns."""
+    """Under its target's window, the whole row range for the zero column,
+    every group weighs at least 2 half-units, the cover search says a
+    packing of want groups exists exactly when one does, for each want up
+    to one past the window's bound, and the packer returns what the clique
+    search alone returns."""
     cols = code.cols
     for target in range(code.n):
-        if not cols[target]:
-            continue
         groups = _group_table(cols, cap)[target]
         bound, exact, other = _projection_bound(cols, target, code.k)
         for g in groups:
@@ -598,35 +587,33 @@ def test_cover_search_decides_packings_as_brute_force_does(code, cap):
         best = max(len(f) for f in _disjoint_families([mask_indices(g) for g in groups]))
         solver = _PackingSolver(groups)
         for want in range(1, bound + 2):
-            assert _cover_verdict(solver, (bound, exact, other), want)[0] == (want <= best)
+            assert solver.covers(exact, other, want) == (want <= best)
         assert max_disjoint_groups(code, target, cap) == max_disjoint_groups_by_clique(code, target, cap)
 
 
-@pytest.mark.parametrize("s, budget", [(4, 500), (3, 900)])
-def test_census_refutations_at_cap_4_come_from_the_cover_search(s, budget):
-    """Node 28, the first of um:3:s time block 2, has projection bound 11
-    and packs 10 groups at cap 4.  The cover search proves that 11 do not
-    fit within budget search nodes, where the clique search alone takes
-    over 20,000; run in step, it ends the clique search there."""
+@pytest.mark.parametrize(
+    "s, node, cap, bound, answer", [(4, 28, 4, 11, 10), (3, 28, 4, 11, 10), (1, 35, 3, 23, 21)]
+)
+def test_the_clique_search_is_asked_only_the_size_that_fits(monkeypatch, s, node, cap, bound, answer):
+    """The cover search refutes every size above the answer, so the clique
+    search is asked for the answer alone, or for nothing when the first-fit
+    packing already has that size.  Node 28, the first of um:3:s time block
+    2, is the census's refutation, where the clique search alone took over
+    20,000 search nodes; node 35 is a zero column of um:3:1."""
     code = um_block_code(3, s)
-    node = um_node_index(3, 2, 0, 0)
-    groups = _group_table(code.cols, 4)[node]
-    window = _projection_bound(code.cols, node, code.k)
-    assert window[0] == 11
-    solver = _PackingSolver(groups)
-    verdict, steps = _cover_verdict(solver, window, 11)
-    assert not verdict and steps <= budget
-    ticks = []
-    refuter = repair._refuter(solver.cover_steps(window[1], window[2], 11))
+    groups = _group_table(code.cols, cap)[node]
+    assert _projection_bound(code.cols, node, code.k)[0] == bound
+    asked = []
+    clique_of = _PackingSolver.clique_of
 
-    def tick():
-        ticks.append(None)
-        next(refuter)
+    def recording(self, want):
+        asked.append(want)
+        return clique_of(self, want)
 
-    with pytest.raises(repair._Refuted):
-        solver.clique_of(11, tick)
-    assert len(ticks) == steps + 1
-    assert max_disjoint_groups(code, node, 4)[0] == 10
+    monkeypatch.setattr(_PackingSolver, "clique_of", recording)
+    assert max_disjoint_groups(code, node, cap)[0] == answer
+    first_fit = len(repair._first_fit(groups)[0])
+    assert asked == ([answer] if answer > first_fit else [])
 
 
 def test_census_witnesses_are_pinned():
@@ -706,6 +693,14 @@ def test_availability_profile_simplex3():
 def test_availability_profile_chain():
     profile = availability_profile(c2_code(3), 3)
     assert profile.code_level[2] == (3, 2)
+
+
+def test_availability_profile_um_3_1():
+    """Pinned: every node packs exactly, the zero columns 35-41 included."""
+    profile = availability_profile(um_block_code(3, 1), 3)
+    assert profile.code_level == ((1, 0), (2, 5), (3, 10))
+    expected = [(1, 8, 11)] * 14 + [(0, 5, 10)] * 7 + [(1, 8, 11)] * 14 + [(6, 20, 21)] * 7
+    assert list(profile.per_node) == expected
 
 
 def test_availability_interior_um_node():
